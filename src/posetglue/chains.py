@@ -1,9 +1,11 @@
 """Chain decompositions and node splitting.
 
 A chain decomposition rebuilds a poset as a disjoint sum of fresh chains, one
-per maximal chain, glued back together fiber by fiber. Splitting a minimal
-node u under a chosen cover means gluing every fiber EXCEPT u's, so u's
-copies stay apart, each pinned under a single cover.
+per maximal chain, glued back together fiber by fiber; gluing the sum along a
+subcollection of fibers gives the posets in between. Splitting a minimal node
+u is the gluing along every fiber except u's, with u's copies merged per
+cover only, but ``split_for_cover`` builds that poset directly from X's
+covers: the chain sum only names its nodes and defines the map t_F from it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
 from .gluing import (
     GluingWitness,
     fiber_collection,
-    glue_along_collection,
     glue_along_complete,
     is_height_zero_gluing,
     verify_gluing,
@@ -159,9 +160,15 @@ def _check_split(cd: ChainDecomposition, result: SplitResult, chosen) -> None:
     report = verify_gluing(result.F, cd.X, result.f_F, fiber_collection(result.f_F))
     if not report:
         raise InternalInvariantError(f"X is not a gluing of F: {report.reason}")
-    # min/max lift through t_F as they do through phi
-    min_pre = frozenset(d for d in cd.D.nodes if result.t_F(d) in result.F.min_nodes())
-    max_pre = frozenset(d for d in cd.D.nodes if result.t_F(d) in result.F.max_nodes())
+    _check_min_max_lift(cd, result)
+
+
+def _check_min_max_lift(cd: ChainDecomposition, result: SplitResult) -> None:
+    """min/max lift through t_F as they do through phi."""
+    mins = result.F.min_nodes()
+    maxs = result.F.max_nodes()
+    min_pre = frozenset(d for d in cd.D.nodes if result.t_F(d) in mins)
+    max_pre = frozenset(d for d in cd.D.nodes if result.t_F(d) in maxs)
     if min_pre != cd.D.min_nodes() or max_pre != cd.D.max_nodes():
         raise InternalInvariantError("split broke the min/max correspondence")
 
@@ -170,13 +177,18 @@ def split_for_cover(X: Poset, u1: NodeId, u2: NodeId) -> SplitResult:
     """Split the minimal node u1 into one copy per cover, so the copy kept
     under u2 has u2 as its unique cover.
 
-    Glues the chain sum along every fiber except u1's, with u1's chain
-    copies re-merged by the cover their chain climbs through. Coarser than
-    one copy per chain, which would multiply the maximal chains around the
-    pivot and break the (dim, chain-count) descent the extension steps rely
-    on; one copy per cover keeps the maximal chains of the split poset in
-    bijection with the original's. When u1 has a single cover there is
-    nothing to split and X itself comes back with identity maps.
+    F is the gluing of the chain sum along every fiber except u1's, with
+    u1's chain copies re-merged by the cover their chain climbs through.
+    Coarser than one copy per chain, which would multiply the maximal chains
+    around the pivot and break the (dim, chain-count) descent the extension
+    steps rely on; one copy per cover keeps the maximal chains of the split
+    poset in bijection with the original's. When u1 has a single cover there
+    is nothing to split and X itself comes back with identity maps.
+
+    F is built directly: X's covers that leave u1 are replaced by one edge
+    from each copy to its cover. The chain sum only supplies the ids, which
+    are those the gluing gives (each class keeps its least chain copy), and
+    the map t_F from the sum.
     """
     X._check_node(u1)
     X._check_node(u2)
@@ -186,21 +198,30 @@ def split_for_cover(X: Poset, u1: NodeId, u2: NodeId) -> SplitResult:
         raise NotACover(f"{u2!r} does not cover {u1!r}")
 
     cd = chain_decomposition(X)
-    u1_fiber = cd.fiber_of(u1)
-    groups: dict[NodeId, set[NodeId]] = {}
-    for chain in cd.chains:
-        if chain[0] in u1_fiber:
-            groups.setdefault(cd.phi(chain[1]), set()).add(chain[0])
-    if len(u1_fiber) == 1 or len(groups) == 1:
+    # u1 is minimal, so it only ever starts a chain
+    cover_of = {chain[0]: cd.phi(chain[1]) for chain in cd.chains if cd.phi(chain[0]) == u1}
+    if len(set(cover_of.values())) == 1:
         result = SplitResult(X, cd.phi, identity_map(X))
     else:
-        collection = [E for E in cd.fibers() if E != u1_fiber]
-        collection.extend(frozenset(g) for g in groups.values() if len(g) >= 2)
-        witness = glue_along_collection(cd.D, collection)
-        f_assignment = {witness.map(d): cd.phi(d) for d in cd.D.nodes}
-        f = PosetMap(witness.target, cd.X, f_assignment)
-        result = SplitResult(witness.target, witness.map, f)
-        _check_split(cd, result, witness.collection)
+        name: dict[NodeId, NodeId] = {}  # node of X other than u1 -> id in F
+        copy: dict[NodeId, NodeId] = {}  # cover of u1 -> id of u1's copy under it
+        for d, x in cd.phi.assignment.items():
+            if x == u1:
+                c = cover_of[d]
+                copy[c] = min(copy.get(c, d), d)
+            else:
+                name[x] = min(name.get(x, d), d)
+        covers = [(name[a], name[b]) for a, b in X.covers if a != u1]
+        covers.extend((v, name[c]) for c, v in copy.items())
+        F = build([*name.values(), *copy.values()], covers)
+        t_F = PosetMap(
+            cd.D,
+            F,
+            {d: copy[cover_of[d]] if d in cover_of else name[x] for d, x in cd.phi.assignment.items()},
+        )
+        f_F = PosetMap(F, X, {**{v: x for x, v in name.items()}, **{v: u1 for v in copy.values()}})
+        result = SplitResult(F, t_F, f_F)
+        _check_min_max_lift(cd, result)
     _check_split_for_cover(X, result, u1, u2)
     return result
 

@@ -136,6 +136,16 @@ def _elevation_obj(witness, result_key: str) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _wrap_count(token: str) -> int:
+    try:
+        value = int(token.split("=", 1)[1])
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InputError(f"wrap option {token!r} needs a non-negative integer")
+    return value
+
+
 def _parse_wrap(text: str) -> WrapOptions:
     single_max = True
     single_min = False
@@ -151,9 +161,9 @@ def _parse_wrap(text: str) -> WrapOptions:
             elif token == "single-min":
                 single_min = True
             elif token.startswith("min-height="):
-                min_height = int(token.split("=", 1)[1])
+                min_height = _wrap_count(token)
             elif token.startswith("min-dim="):
-                min_dim = int(token.split("=", 1)[1])
+                min_dim = _wrap_count(token)
             else:
                 raise InputError(f"unknown wrap option {token!r}")
     return WrapOptions(single_max, single_min, min_height, min_dim)

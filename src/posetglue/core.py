@@ -162,19 +162,21 @@ class Poset:
             for a, b in sorted(self.covers):
                 succ[a].append(b)
             chains: list[Chain] = []
-
-            def walk(path: list[NodeId]) -> None:
-                ups = succ[path[-1]]
-                if not ups:
-                    chains.append(tuple(path))
-                    return
-                for b in ups:
-                    path.append(b)
-                    walk(path)
-                    path.pop()
-
+            # depth-first with an explicit stack, so long chains cannot hit
+            # the recursion limit; successors are taken in sorted order
             for m in sorted(self.min_nodes()):
-                walk([m])
+                path = [m]
+                pending = [iter(succ[m])]
+                while pending:
+                    b = next(pending[-1], None)
+                    if b is None:
+                        if not succ[path[-1]]:
+                            chains.append(tuple(path))
+                        pending.pop()
+                        path.pop()
+                        continue
+                    path.append(b)
+                    pending.append(iter(succ[b]))
             object.__setattr__(self, "_chains", chains)
         return list(self._chains)
 
@@ -229,21 +231,18 @@ def build(nodes: Iterable[NodeId], relation: Iterable[tuple[NodeId, NodeId]]) ->
         raise CycleDetected(f"relation closure has a cycle: {exc.args[1]}") from exc
 
     # static_order on successor sets emits upper elements first, so every
-    # successor's up-set is ready when its predecessors are reached
+    # successor's up-set is ready when its predecessors are reached. A
+    # successor b of x is a cover unless it lies strictly above another
+    # successor; nothing outside succ[x] can cover x.
     strict_up: dict[NodeId, frozenset[NodeId]] = {}
+    cover_list: list[tuple[NodeId, NodeId]] = []
     for x in order:
-        acc: set[NodeId] = set()
+        above: set[NodeId] = set()
         for b in succ[x]:
-            acc.add(b)
-            acc |= strict_up[b]
-        strict_up[x] = frozenset(acc)
-
-    covers = frozenset(
-        (a, b)
-        for a in node_set
-        for b in strict_up[a]
-        if not any(b in strict_up[c] for c in strict_up[a] if c != b)
-    )
+            above |= strict_up[b]
+        strict_up[x] = frozenset(above | succ[x])
+        cover_list.extend((x, b) for b in succ[x] - above)
+    covers = frozenset(cover_list)
 
     up = {x: strict_up[x] | {x} for x in node_set}
     down: dict[NodeId, set[NodeId]] = {x: {x} for x in node_set}

@@ -175,8 +175,8 @@ class GExtension:
 
 
 def _pivot(F: Poset) -> NodeId:
-    chains = [c for c in F.maximal_chains() if len(c) - 1 == F.dim()]
-    return min(c[1] for c in chains)
+    """The least height-one node on a maximal-length chain (F has dim >= 1)."""
+    return min(x for x in F.nodes if F.height(x) == 1 and F.on_maximal_length_chain(x))
 
 
 def gextension_step(F1: Poset) -> GExtension:
@@ -238,8 +238,19 @@ def gextension_step(F1: Poset) -> GExtension:
 
 
 def _eta(F: Poset) -> int:
+    """Number of maximal-length chains, without listing the maximal chains.
+
+    ways[x] counts the chains of length height(x) ending at x; a cover
+    (a, b) extends them iff it climbs exactly one level. Covers are taken
+    in ascending height of a, so ways[a] is final before it is used.
+    """
+    heights = F._height_table()
+    ways = {x: 1 if h == 0 else 0 for x, h in heights.items()}
+    for a, b in sorted(F.covers, key=lambda cover: heights[cover[0]]):
+        if heights[b] == heights[a] + 1:
+            ways[b] += ways[a]
     d = F.dim()
-    return sum(1 for c in F.maximal_chains() if len(c) - 1 == d)
+    return sum(ways[x] for x, h in heights.items() if h == d)
 
 
 def _check_lex_decrease(before: Poset, after: Poset) -> None:

@@ -104,7 +104,9 @@ def glue_along_complete(X: Poset, S: Iterable[NodeId]) -> GluingWitness:
     """Quotient X by collapsing the complete subset S to one class.
 
     Class order: [x] <= [y] iff x <= y, or x lies below some member of S and
-    y lies above some member. The class node is named by S's least member.
+    y lies above some member. That is the closure of the image of X's covers,
+    which is what the quotient is built from. The class node is named by S's
+    least member.
     """
     S = frozenset(S)
     if not S:
@@ -117,15 +119,9 @@ def glue_along_complete(X: Poset, S: Iterable[NodeId]) -> GluingWitness:
 
     class_name = min(S)
     name_of = {x: class_name if x in S else x for x in X.nodes}
-    below_S = frozenset(x for x in X.nodes if any(X.leq(x, s) for s in S))
-    above_S = frozenset(x for x in X.nodes if any(X.leq(s, x) for s in S))
-
-    relation = set()
-    for x in X.nodes:
-        for y in X.nodes:
-            if X.leq(x, y) or (x in below_S and y in above_S):
-                if name_of[x] != name_of[y]:
-                    relation.add((name_of[x], name_of[y]))
+    relation = {
+        (name_of[a], name_of[b]) for a, b in X.covers if name_of[a] != name_of[b]
+    }
     try:
         Y = build(set(name_of.values()), relation)
     except Exception as exc:  # antisymmetry is guaranteed for complete S

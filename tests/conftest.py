@@ -159,3 +159,11 @@ def all_nonempty_subsets(items):
     for r in range(1, len(items) + 1):
         for combo in combinations(items, r):
             yield frozenset(combo)
+
+
+@pytest.fixture(scope="session")
+def small_posets() -> list[Poset]:
+    """Every poset on 1 to 6 nodes, one per isomorphism class."""
+    from posetglue.generate import all_posets_upto_iso
+
+    return [P for n in range(1, 7) for P in all_posets_upto_iso(n)]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +176,53 @@ class TestExitCodes:
         code = cli.main(["decompose", fx("point.poset")])
         capsys.readouterr()
         assert code == 3
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "wrap",
+        ["min-height=abc", "min-dim=", "min-height=-1", "single-max,min-dim=-2"],
+    )
+    def test_bad_wrap_value_is_input_error(self, capsys, wrap):
+        code = main(["decompose", fx("x9.poset"), "--wrap", wrap])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "non-negative integer" in captured.err
+
+    def test_info_on_a_long_chain(self, capsys, tmp_path):
+        from posetglue import build
+        from posetglue.documents import emit_poset
+
+        ids = [f"c{i:04d}" for i in range(1200)]
+        path = tmp_path / "chain.poset"
+        path.write_text(emit_poset(build(ids, list(zip(ids, ids[1:])))))
+        code, out = run(capsys, "info", str(path))
+        assert code == 0
+        assert "dim: 1199" in out
+        assert "maximal chains: 1" in out
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class TestGoldenScripts:
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("x9.script", ["x9.poset"]),
+            ("diamond.script", ["diamond.poset"]),
+            (
+                "diamond-wrapped.script",
+                ["diamond.poset", "--wrap", "single-max,single-min,min-height=2,min-dim=3"],
+            ),
+        ],
+    )
+    def test_decompose_is_byte_identical_to_the_pin(self, capsys, golden, argv):
+        argv = [fx(a) if a.endswith(".poset") else a for a in argv]
+        code, out = run(capsys, "decompose", *argv)
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 class TestDeterminism:

@@ -135,6 +135,17 @@ class TestMaximalChains:
     def test_deterministic_order(self, x9):
         assert x9.maximal_chains() == sorted(x9.maximal_chains())
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_posets_sorted_and_exhaustive(self, seed):
+        P = random_poset(seed, 8, 0.35)
+        chains = P.maximal_chains()
+        assert chains == sorted(chains)
+        assert set(chains) == oracle_maximal_chains(P)
+
+    def test_long_chain_does_not_recurse(self):
+        ids = [f"c{i:04d}" for i in range(1200)]
+        assert chain(*ids).maximal_chains() == [tuple(ids)]
+
 
 class TestSubsetPredicates:
     def test_minima_are_antichain(self, x9):

@@ -500,3 +500,30 @@ class TestEndToEndSmall:
             final, _ = replay(script)
             tracked = PosetMap(P, final, script.embedding)
             assert is_saturated_embedding(tracked)
+
+
+def posets_on_seven_nodes(small_posets):
+    """Every poset on 7 nodes, some more than once: a new top over each
+    down-set of each 6-node poset (removing a maximal node gives one)."""
+    for P in small_posets:
+        if len(P) != 6:
+            continue
+        for mask in range(1 << 6):
+            S = {x for i, x in enumerate(P.nodes) if mask >> i & 1}
+            if all(P.down_set(x) <= S for x in S):
+                yield build([*P.nodes, "top"], [*P.covers, *((x, "top") for x in S)])
+
+
+class TestPivotAndEtaByDP:
+    def test_match_the_chain_enumeration(self, small_posets):
+        from posetglue.gext import _eta, _pivot
+
+        posets = list(small_posets)
+        posets += posets_on_seven_nodes(small_posets)
+        posets += [random_poset(seed, 16, 0.25) for seed in range(60)]
+        for P in posets:
+            d = P.dim()
+            longest = [c for c in P.maximal_chains() if len(c) - 1 == d]
+            assert _eta(P) == len(longest)
+            if d > 0:
+                assert _pivot(P) == min(c[1] for c in longest)
