@@ -45,14 +45,13 @@ def _load_poset(path: str):
 
 def cmd_info(args) -> int:
     P = _load_poset(args.poset)
-    chains = P.maximal_chains() if P.nodes else []
     lines = [
         f"nodes: {len(P.nodes)}",
         f"covers: {len(P.covers)}",
         f"dim: {P.dim() if P.nodes else 'undefined'}",
         f"min: {' '.join(sorted(P.min_nodes())) if P.nodes else ''}".rstrip(),
         f"max: {' '.join(sorted(P.max_nodes())) if P.nodes else ''}".rstrip(),
-        f"maximal chains: {len(chains)}",
+        f"maximal chains: {P.maximal_chain_count() if P.nodes else 0}",
     ]
     _write("\n".join(lines) + "\n")
     return EXIT_OK

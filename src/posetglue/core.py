@@ -1,10 +1,12 @@
 """Finite posets as Hasse diagrams.
 
 A ``Poset`` stores a sorted node tuple and the transitively reduced cover
-relation; the full order is kept as precomputed up-sets. Values are immutable
-after ``build`` and safe to share: every operation here is a pure function of
-its inputs. All iteration is over sorted ids so results are reproducible
-byte-for-byte.
+relation; the full order is kept as precomputed up-sets only. Down-sets are
+computed per call from the up-sets, and linear extensions come from
+up-set sizes (``a < b`` implies ``|up(a)| > |up(b)|``), so no topological sort
+is stored or repeated. Values are immutable after ``build`` and safe to share:
+every operation here is a pure function of its inputs. All iteration is over
+sorted ids so results are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
@@ -22,19 +24,20 @@ class Poset:
     """Finite poset, normalized to its Hasse diagram at construction.
 
     Do not instantiate directly; go through :func:`build`, which validates,
-    closes, and reduces the input relation.
+    closes, and reduces the input relation. ``_up`` maps each node to its
+    up-set (the node included); it is the only stored form of the order, and
+    internal callers read it directly once their ids are known to be valid.
     """
 
-    __slots__ = ("nodes", "covers", "_up", "_down", "_heights", "_depths", "_chains")
+    __slots__ = ("nodes", "covers", "_up", "_heights", "_depths", "_chains")
 
     nodes: tuple[NodeId, ...]
     covers: frozenset[tuple[NodeId, NodeId]]
 
-    def __init__(self, nodes, covers, up, down):
+    def __init__(self, nodes, covers, up):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "_up", up)
-        object.__setattr__(self, "_down", down)
         object.__setattr__(self, "_heights", None)
         object.__setattr__(self, "_depths", None)
         object.__setattr__(self, "_chains", None)
@@ -96,9 +99,9 @@ class Poset:
         return self._up[x]
 
     def down_set(self, x: NodeId) -> frozenset[NodeId]:
-        """{u : u <= x}; contains x."""
+        """{u : u <= x}; contains x. Computed per call from the up-sets."""
         self._check_node(x)
-        return self._down[x]
+        return frozenset(a for a, up in self._up.items() if x in up)
 
     def min_nodes(self) -> frozenset[NodeId]:
         self._check_nonempty()
@@ -110,22 +113,37 @@ class Poset:
         uppers = {a for (a, _) in self.covers}
         return frozenset(x for x in self.nodes if x not in uppers)
 
+    def _by_up_size(self, lowest_first: bool) -> list[NodeId]:
+        # a < b implies |up(a)| > |up(b)|, so this is a linear extension
+        up = self._up
+        return sorted(self.nodes, key=lambda x: len(up[x]), reverse=lowest_first)
+
+    def _cover_lists(self, upper: bool) -> dict[NodeId, list[NodeId]]:
+        """Each node's upper covers, or its lower covers, in one pass."""
+        lists: dict[NodeId, list[NodeId]] = {x: [] for x in self.nodes}
+        for a, b in self.covers:
+            if upper:
+                lists[a].append(b)
+            else:
+                lists[b].append(a)
+        return lists
+
     def _height_table(self) -> dict[NodeId, int]:
         if self._heights is None:
+            below = self._cover_lists(upper=False)
             heights: dict[NodeId, int] = {}
-            for x in self._topo_order():
-                below = [heights[a] for (a, b) in self.covers if b == x]
-                heights[x] = 1 + max(below) if below else 0
+            for x in self._by_up_size(lowest_first=True):
+                heights[x] = 1 + max(heights[a] for a in below[x]) if below[x] else 0
             object.__setattr__(self, "_heights", heights)
         return self._heights
 
     def _depth_table(self) -> dict[NodeId, int]:
         # longest chain going up from a node, in edges
         if self._depths is None:
+            above = self._cover_lists(upper=True)
             depths: dict[NodeId, int] = {}
-            for x in reversed(self._topo_order()):
-                above = [depths[b] for (a, b) in self.covers if a == x]
-                depths[x] = 1 + max(above) if above else 0
+            for x in self._by_up_size(lowest_first=False):
+                depths[x] = 1 + max(depths[b] for b in above[x]) if above[x] else 0
             object.__setattr__(self, "_depths", depths)
         return self._depths
 
@@ -143,13 +161,6 @@ class Poset:
     def on_maximal_length_chain(self, x: NodeId) -> bool:
         self._check_node(x)
         return self.height(x) + self._depth_table()[x] == self.dim()
-
-    def _topo_order(self) -> list[NodeId]:
-        order: dict[NodeId, set[NodeId]] = {x: set() for x in self.nodes}
-        for a, b in self.covers:
-            order[b].add(a)
-        ts = graphlib.TopologicalSorter(order)
-        return [x for x in ts.static_order()]
 
     def maximal_chains(self) -> list[Chain]:
         """All chains from a minimal to a maximal node, following covers.
@@ -180,6 +191,19 @@ class Poset:
             object.__setattr__(self, "_chains", chains)
         return list(self._chains)
 
+    def maximal_chain_count(self) -> int:
+        """len(maximal_chains()), without listing them.
+
+        ways[x] counts the cover paths from a minimal node up to x; nodes are
+        visited lowest first, so every lower cover's count is final.
+        """
+        self._check_nonempty()
+        below = self._cover_lists(upper=False)
+        ways: dict[NodeId, int] = {}
+        for x in self._by_up_size(lowest_first=True):
+            ways[x] = sum(ways[a] for a in below[x]) if below[x] else 1
+        return sum(ways[x] for x in self.max_nodes())
+
     def is_antichain(self, S: Iterable[NodeId]) -> bool:
         S = frozenset(S)
         for x in S:
@@ -193,9 +217,9 @@ class Poset:
             self._check_node(x)
         if not S:
             return True
+        # a node above some member of S but outside S must not lie below one
         above = frozenset().union(*(self._up[s] for s in S))
-        below = frozenset().union(*(self._down[s] for s in S))
-        return (above & below) <= S
+        return all(self._up[y].isdisjoint(S) for y in above - S)
 
     def induced(self, S: Iterable[NodeId]) -> "Poset":
         """Subposet on S with the order inherited from self."""
@@ -222,39 +246,42 @@ def build(nodes: Iterable[NodeId], relation: Iterable[tuple[NodeId, NodeId]]) ->
             pairs.add((a, b))
 
     succ: dict[NodeId, set[NodeId]] = {x: set() for x in node_set}
+    pred: dict[NodeId, list[NodeId]] = {x: [] for x in node_set}
     for a, b in pairs:
         succ[a].add(b)
+        pred[b].append(a)
 
-    try:
-        order = list(graphlib.TopologicalSorter(succ).static_order())
-    except graphlib.CycleError as exc:
-        raise CycleDetected(f"relation closure has a cycle: {exc.args[1]}") from exc
-
-    # static_order on successor sets emits upper elements first, so every
-    # successor's up-set is ready when its predecessors are reached. A
+    # Kahn's algorithm over the successor sets, upper elements first: a node
+    # is ready once all its successors are done, so every successor's up-set
+    # is known when it is reached. `ready` grows while it is walked. A
     # successor b of x is a cover unless it lies strictly above another
     # successor; nothing outside succ[x] can cover x.
+    pending = {x: len(s) for x, s in succ.items()}
+    ready = [x for x, count in pending.items() if not count]
     strict_up: dict[NodeId, frozenset[NodeId]] = {}
     cover_list: list[tuple[NodeId, NodeId]] = []
-    for x in order:
+    for x in ready:
         above: set[NodeId] = set()
         for b in succ[x]:
             above |= strict_up[b]
         strict_up[x] = frozenset(above | succ[x])
         cover_list.extend((x, b) for b in succ[x] - above)
-    covers = frozenset(cover_list)
+        for a in pred[x]:
+            pending[a] -= 1
+            if not pending[a]:
+                ready.append(a)
 
-    up = {x: strict_up[x] | {x} for x in node_set}
-    down: dict[NodeId, set[NodeId]] = {x: {x} for x in node_set}
-    for a in node_set:
-        for b in strict_up[a]:
-            down[b].add(a)
+    if len(strict_up) < len(node_set):
+        # Kahn stalled, so there is a cycle; graphlib names one for the message
+        try:
+            graphlib.TopologicalSorter(succ).prepare()
+        except graphlib.CycleError as exc:
+            raise CycleDetected(f"relation closure has a cycle: {exc.args[1]}") from exc
 
     return Poset(
         tuple(sorted(node_set)),
-        covers,
-        {x: frozenset(s) for x, s in up.items()},
-        {x: frozenset(s) for x, s in down.items()},
+        frozenset(cover_list),
+        {x: strict_up[x] | {x} for x in node_set},
     )
 
 

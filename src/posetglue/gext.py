@@ -281,6 +281,12 @@ class WrapOptions:
     min_height: int = 0
     min_dim: int = 0
 
+    def __post_init__(self):
+        for name in ("min_height", "min_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise InputError(f"WrapOptions.{name} needs a non-negative integer, got {value!r}")
+
 
 def wrap(X: Poset, options: WrapOptions) -> tuple[Poset, PosetMap]:
     """Embed X as a saturated subset of a padded poset K.

@@ -3,7 +3,8 @@
 poset map -> embedding -> saturated embedding -> isomorphism. Each level has
 a ``*_violation`` function returning a concrete witness (or None), so failed
 certificates can say which pair broke; the ``is_*`` predicates delegate to
-those.
+those. The verifiers read the posets' up-sets and the assignment directly:
+a ``PosetMap`` has already checked every id it holds.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ def compose(f: PosetMap, g: PosetMap) -> PosetMap:
 
 def poset_map_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
     """A source cover whose image is not ordered, or None."""
+    up, g = f.target._up, f.assignment
     for a, b in sorted(f.source.covers):
-        if not f.target.leq(f(a), f(b)):
+        if g[b] not in up[g[a]]:
             return (a, b)
     return None
 
@@ -89,10 +91,12 @@ def embedding_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
     """A pair with f(x) <= f(y) but not x <= y, or None. Requires a poset map."""
     if not is_poset_map(f):
         raise NotPosetMap(f"not a poset map: cover {poset_map_violation(f)!r} collapses order")
-    for x in f.source.nodes:
-        for y in f.source.nodes:
-            if f.target.leq(f(x), f(y)) and not f.source.leq(x, y):
-                return (x, y)
+    nodes, source_up, target_up, g = f.source.nodes, f.source._up, f.target._up, f.assignment
+    for x in nodes:
+        image_up, x_up = target_up[g[x]], source_up[x]
+        bad = [y for y in nodes if g[y] in image_up and y not in x_up]
+        if bad:
+            return (x, bad[0])
     return None
 
 
@@ -126,14 +130,14 @@ def saturated_subset_violation(P: Poset, Z: Iterable[NodeId]) -> Optional[tuple[
     for x in Z:
         if x not in P:
             raise UnknownNode(f"unknown node {x!r}")
+    up = P._up
     for u in sorted(Z):
-        for v in sorted(Z):
-            if not P.lt(u, v):
+        above = (up[u] & Z) - {u}
+        for v in sorted(above):
+            # v covers u inside Z unless another member of `above` lies below it
+            if any(v in up[w] for w in above if w != v):
                 continue
-            # v covers u inside the induced subposet?
-            if any(P.lt(u, w) and P.lt(w, v) for w in Z):
-                continue
-            if not P.is_cover(u, v):
+            if (u, v) not in P.covers:
                 return (u, v)
     return None
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,32 @@ class TestInfo:
     def test_missing_file_is_input_error(self, capsys):
         code, _ = run(capsys, "info", "no-such-file.poset")
         assert code == 2
+
+    def test_fixture_output_is_byte_identical_to_the_pin(self, capsys):
+        out = ""
+        for path in sorted(FIXTURES.glob("*.poset")):
+            code, text = run(capsys, "info", str(path))
+            assert code == 0
+            out += f"## {path.name}\n{text}"
+        assert out.encode("utf-8") == (GOLDEN / "info.txt").read_bytes()
+
+    def test_ladder_chains_are_counted_not_listed(self, capsys, tmp_path):
+        from posetglue import build
+        from posetglue.documents import emit_poset
+
+        # a bottom under 40 stacked diamonds: 2**40 maximal chains
+        nodes, covers, below = ["b"], [], "b"
+        for i in range(40):
+            nodes += [f"l{i}", f"r{i}", f"j{i}"]
+            covers += [(below, f"l{i}"), (below, f"r{i}"), (f"l{i}", f"j{i}"), (f"r{i}", f"j{i}")]
+            below = f"j{i}"
+        path = tmp_path / "ladder.poset"
+        path.write_text(emit_poset(build(nodes, covers)))
+        start = time.perf_counter()
+        code, out = run(capsys, "info", str(path))
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert "maximal chains: 1099511627776" in out
 
 
 class TestVerifyEmbedding:

@@ -276,6 +276,14 @@ class TestWrap:
         assert is_saturated_embedding(f)
         assert is_saturated_subset(K, f.image())
 
+    @pytest.mark.parametrize(
+        "options",
+        [dict(min_height=-3), dict(min_height="2"), dict(min_dim=2.5), dict(min_dim=True)],
+    )
+    def test_bad_counts_are_input_errors(self, x9, options):
+        with pytest.raises(InputError, match="non-negative integer"):
+            decompose_to_point(x9, WrapOptions(**options))
+
 
 class TestDecomposeToPoint:
     def test_point(self):

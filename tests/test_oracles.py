@@ -5,6 +5,12 @@
 covers off the successor sets. Each is compared with the construction it
 replaced, kept here as an oracle: the chain-sum gluing, the pairwise class
 relation, and ``networkx.transitive_reduction``.
+
+The order kernel is checked the same way: ``build`` against ``networkx``
+(above) and against a relation with a cycle past a DAG part, heights, depths and chain counts
+against the maximal-chain listing, down-sets and completeness against their
+definitions, and the up-set verifiers of ``morphism`` against the double
+loops of checked ``leq`` calls they replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +20,18 @@ import random
 import networkx as nx
 import pytest
 
-from posetglue import build, chain_decomposition, split_for_cover, verify_gluing
+from posetglue import (
+    CycleDetected,
+    NotPosetMap,
+    PosetMap,
+    build,
+    chain_decomposition,
+    embedding_violation,
+    poset_map_violation,
+    saturated_subset_violation,
+    split_for_cover,
+    verify_gluing,
+)
 from posetglue.gluing import glue_along_complete, normalize_collection
 from posetglue.generate import random_poset
 
@@ -123,3 +140,143 @@ def test_build_covers_equal_networkx_transitive_reduction(seed):
     assert P.covers == frozenset(nx.transitive_reduction(G).edges())
     for x in ids:
         assert P.up_set(x) == frozenset(nx.descendants(G, x)) | {x}
+
+
+def kernel_posets(small_posets):
+    """Every poset on up to 6 nodes, then 60 seeded 16-node posets."""
+    return list(small_posets) + [random_poset(s, 16, 0.25) for s in range(60)]
+
+
+def linear_extension(P):
+    return sorted(P.nodes, key=lambda x: (P.height(x), x))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_build_raises_cycle_detected_past_a_dag_part(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 20)
+    ids = [f"v{i}" for i in range(n)]
+    order = rng.sample(ids, n)
+    relation = [
+        (order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
+    ]
+    loop = rng.sample(ids, rng.randint(2, min(n, 5)))
+    relation += list(zip(loop, loop[1:] + loop[:1]))
+    with pytest.raises(CycleDetected) as raised:
+        build(ids, relation)
+    # graphlib's witness lists the cycle against the direction of the pairs
+    cycle = raised.value.__cause__.args[1]
+    assert cycle[0] == cycle[-1]
+    assert all((b, a) in relation for a, b in zip(cycle, cycle[1:]))
+
+
+def test_heights_depths_and_chain_count_match_the_chain_listing(small_posets):
+    for P in kernel_posets(small_posets):
+        chains = P.maximal_chains()
+        heights = dict.fromkeys(P.nodes, 0)
+        depths = dict.fromkeys(P.nodes, 0)
+        for c in chains:
+            for i, x in enumerate(c):
+                heights[x] = max(heights[x], i)
+                depths[x] = max(depths[x], len(c) - 1 - i)
+        assert P._height_table() == heights
+        assert P._depth_table() == depths
+        assert P.maximal_chain_count() == len(chains)
+
+
+def is_interval_closed(P, S):
+    return all(
+        y in S for u in S for v in S for y in P.nodes if P.leq(u, y) and P.leq(y, v)
+    )
+
+
+def test_down_sets_and_completeness_match_their_definitions(small_posets):
+    rng = random.Random(0)
+    for P in kernel_posets(small_posets):
+        for x in P.nodes:
+            assert P.down_set(x) == frozenset(u for u in P.nodes if P.leq(u, x))
+        subsets = complete_subsets(P)
+        subsets += [frozenset(rng.sample(P.nodes, rng.randint(0, len(P)))) for _ in range(12)]
+        for S in subsets:
+            assert P.is_complete_subset(S) == is_interval_closed(P, S)
+
+
+def loop_poset_map_violation(f):
+    for a, b in sorted(f.source.covers):
+        if not f.target.leq(f(a), f(b)):
+            return (a, b)
+    return None
+
+
+def loop_embedding_violation(f):
+    for x in f.source.nodes:
+        for y in f.source.nodes:
+            if f.target.leq(f(x), f(y)) and not f.source.leq(x, y):
+                return (x, y)
+    return None
+
+
+def loop_saturated_subset_violation(P, Z):
+    for u in sorted(Z):
+        for v in sorted(Z):
+            if not P.lt(u, v):
+                continue
+            if any(P.lt(u, w) and P.lt(w, v) for w in Z):
+                continue
+            if not P.is_cover(u, v):
+                return (u, v)
+    return None
+
+
+def chain_poset(length):
+    ids = [f"c{i:02d}" for i in range(length)]
+    return build(ids, list(zip(ids, ids[1:]))), ids
+
+
+def random_maps(P, rng):
+    """Maps out of P, order-preserving or not, injective or not."""
+    nodes = list(P.nodes)
+    ext = linear_extension(P)
+    yield PosetMap(P, P, {x: rng.choice(nodes) for x in nodes})
+    yield PosetMap(P, P, dict(zip(nodes, rng.sample(nodes, len(nodes)))))
+    # onto a chain: by height (collapsing), then along a linear extension
+    C, ids = chain_poset(P.dim() + 1)
+    yield PosetMap(P, C, {x: ids[P.height(x)] for x in nodes})
+    C, ids = chain_poset(len(nodes))
+    yield PosetMap(P, C, {x: ids[i] for i, x in enumerate(ext)})
+    # the identity into P with extra relations, and into P with covers dropped
+    extra = [(ext[i], ext[j]) for i in range(len(ext)) for j in range(i + 1, len(ext))]
+    more = build(nodes, [*P.covers, *rng.sample(extra, min(len(extra), 2))])
+    yield PosetMap(P, more, {x: x for x in nodes})
+    fewer = build(nodes, [c for c in sorted(P.covers) if rng.random() < 0.7])
+    yield PosetMap(P, fewer, {x: x for x in nodes})
+    # an induced inclusion and a gluing quotient
+    S = rng.sample(nodes, rng.randint(1, len(nodes)))
+    yield PosetMap(P.induced(S), P, {x: x for x in S})
+    for T in complete_subsets(P)[:2]:
+        yield glue_along_complete(P, T).map
+
+
+def test_verifiers_return_the_double_loop_witness(small_posets):
+    rng = random.Random(1)
+    outcomes = set()
+    for P in kernel_posets(small_posets):
+        for f in random_maps(P, rng):
+            witness = loop_poset_map_violation(f)
+            assert poset_map_violation(f) == witness
+            if witness is not None:
+                outcomes.add("not a poset map")
+                with pytest.raises(NotPosetMap):
+                    embedding_violation(f)
+                continue
+            witness = loop_embedding_violation(f)
+            assert embedding_violation(f) == witness
+            outcomes.add("embedding" if witness is None else "not an embedding")
+        subsets = [frozenset(P.nodes)]
+        subsets += [frozenset(rng.sample(P.nodes, rng.randint(1, len(P)))) for _ in range(8)]
+        for Z in subsets:
+            witness = loop_saturated_subset_violation(P, Z)
+            assert saturated_subset_violation(P, Z) == witness
+            outcomes.add("saturated" if witness is None else "not saturated")
+    # the maps and subsets reach every verdict
+    assert len(outcomes) == 5
