@@ -277,6 +277,9 @@ def main(argv=None) -> int:
     except PosetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # anything else is a bug; repr keeps it on one line
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ def _load(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nests too deeply") from exc
 
 
 def _expect(obj: Any, field: str, kind, where: str):
@@ -31,7 +33,8 @@ def _expect(obj: Any, field: str, kind, where: str):
     if field not in obj:
         raise ParseError(f"{where}: missing field {field!r}")
     value = obj[field]
-    if not isinstance(value, kind):
+    # JSON true/false are Python bools, which are also ints
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"{where}: field {field!r} has the wrong type")
     return value
 

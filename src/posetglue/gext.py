@@ -95,10 +95,9 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
             )
     witness = glue_along_complete(Z, down)
     X, r = witness.target, witness.map
-    e_assignment = {}
-    for x in X.nodes:
-        fiber = r.fiber(x)
-        e_assignment[x] = z if len(fiber) > 1 else min(fiber)
+    # every node outside the down-set is alone in its fiber
+    e_assignment = {r(w): w for w in Z.nodes if w not in down}
+    e_assignment[r(z)] = z
     e = PosetMap(X, Z, e_assignment)
     result = ElevationWitness(Z, z, X, r, e)
     result.validate()
@@ -431,12 +430,14 @@ def decompose_to_point(
         raise InternalInvariantError("terminal poset is not a point despite the fresh maximum")
 
     # forward rebuild with canonical ids; sigma maps raw ids of the current
-    # backward-pass poset to ids of the forward replica
+    # backward-pass poset to ids of the forward replica. Each backward step
+    # is dropped once used, so the rebuild does not keep all of them alive.
     start = build(["p0"], [])
     sigma = {min(current.nodes): "p0"}
     replica = start
     steps: list[Step] = []
-    for gx in reversed(backward):
+    while backward:
+        gx = backward.pop()
         step_no = len(steps) + 1
         raw_fresh = sorted(gx.Z.down_set(gx.pivot) - {gx.pivot})
         target = sigma[gx.retraction.r(gx.pivot)]

@@ -2,11 +2,13 @@
 
 ``glue_along_complete`` collapses one complete subset to a point; the class
 keeps the lexicographically least member's id, every other node keeps its
-own, so outputs are reproducible and quotient maps are readable. Collections
-are glued one member at a time after merging overlapping members into their
-unions. ``verify_gluing`` certifies an arbitrary (X, Y, g, collection) claim
-by rebuilding the canonical quotient and checking the comparison map is an
-isomorphism, which pins the claim up to unique iso.
+own, so outputs are reproducible and quotient maps are readable. A
+collection is glued in one pass after merging overlapping members into their
+unions: every node is named by its member's least id and the quotient is
+built once from the image of the cover relation. ``verify_gluing`` certifies
+an arbitrary (X, Y, g, collection) claim by rebuilding the canonical quotient
+and checking that the comparison map carries its covers onto Y's, which pins
+the claim up to unique iso.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 from . import morphism
 from .core import NodeId, Poset, build
 from .errors import (
+    CycleDetected,
     EmptySet,
     InternalInvariantError,
     NotACover,
@@ -28,7 +31,7 @@ from .errors import (
     OverlappingCollection,
     UnknownNode,
 )
-from .morphism import PosetMap, compose, identity_map
+from .morphism import PosetMap
 
 CSequence = tuple[NodeId, ...]
 
@@ -133,28 +136,51 @@ def glue_along_complete(X: Poset, S: Iterable[NodeId]) -> GluingWitness:
 def glue_along_collection(
     X: Poset, collection: Iterable[Iterable[NodeId]]
 ) -> GluingWitness:
-    """Composite of successive single-set gluings over a normalized collection.
+    """Quotient X along a collection in one pass.
 
-    Every member must be complete in X, and each member's image must stay
-    complete at its stage (re-checked; NotComplete names the offender).
+    Every member must be complete in X. Members are normalized (overlaps
+    merged), each node is named by its member's least id, and the quotient is
+    built once from the image of X's covers. This equals gluing the members
+    one at a time in normalized order: the order generated by the image of
+    the covers is the same either way, and some member stops being complete
+    at its stage exactly when the one-pass relation has a cycle. Only then is
+    the stagewise fold run, so NotComplete names the first such member.
     """
+    collection = [frozenset(C) for C in collection]
     for C in collection:
-        C = frozenset(C)
         if C and not X.is_complete_subset(C):
             raise NotComplete(f"member {sorted(C)!r} is not interval-closed in the source")
     members = normalize_collection(X, collection)
-    current = X
-    g = identity_map(X)
+    name_of = {x: x for x in X.nodes}
     for C in members:
-        image = frozenset(g(x) for x in C)
-        if not current.is_complete_subset(image):
+        least = min(C)
+        for x in C:
+            name_of[x] = least
+    relation = {
+        (name_of[a], name_of[b]) for a, b in X.covers if name_of[a] != name_of[b]
+    }
+    try:
+        Y = build(set(name_of.values()), relation) if members else X
+    except CycleDetected:
+        _name_incomplete_stage(X, members)
+        raise InternalInvariantError("quotient relation has a cycle, yet every stage is complete")
+    return GluingWitness(X, Y, PosetMap(X, Y, name_of), members)
+
+
+def _name_incomplete_stage(X: Poset, members: tuple[frozenset[NodeId], ...]) -> None:
+    """Glue the members one at a time; raise NotComplete at the first stage
+    whose member is not interval-closed.
+
+    Members are disjoint and earlier classes keep ids from earlier members,
+    so each member is its own image at its stage.
+    """
+    current = X
+    for C in members:
+        if not current.is_complete_subset(C):
             raise NotComplete(
-                f"image {sorted(image)!r} of member {sorted(C)!r} is not interval-closed at its stage"
+                f"image {sorted(C)!r} of member {sorted(C)!r} is not interval-closed at its stage"
             )
-        step = glue_along_complete(current, image)
-        g = compose(g, step.map)
-        current = step.target
-    return GluingWitness(X, current, g, members)
+        current = glue_along_complete(current, C).target
 
 
 def is_height_zero_gluing(w: GluingWitness) -> bool:
@@ -193,10 +219,9 @@ def induced_map(w: GluingWitness, h: PosetMap) -> PosetMap:
             f"but map to {h(pair[0])!r} and {h(pair[1])!r}",
             pair=pair,
         )
-    assignment = {}
-    for y in w.target.nodes:
-        x = min(w.map.fiber(y))
-        assignment[y] = h(x)
+    # nodes are sorted, so the last write for each class is its least member
+    least = {w.map(x): x for x in reversed(w.source.nodes)}
+    assignment = {y: h(least[y]) for y in w.target.nodes}
     phi = PosetMap(w.target, h.target, assignment)
     if not morphism.is_poset_map(phi):
         raise InternalInvariantError(
@@ -217,7 +242,9 @@ def verify_gluing(
 
     Checks the two pointwise conditions directly (constant on members; any
     collapsed pair lies in a common merged member), then rebuilds the
-    canonical quotient and requires the comparison map to be an isomorphism.
+    canonical quotient and requires the comparison map to be an isomorphism:
+    the fibers must agree and the images of the canonical covers must be
+    exactly Y's covers.
     """
     if not isinstance(g, PosetMap):
         g = PosetMap(X, Y, g)
@@ -259,17 +286,21 @@ def verify_gluing(
 
     if fiber_collection(canonical.map) != fiber_collection(g):
         return GluingReport(False, "fibers differ from the canonical quotient's")
-    phi = induced_map(canonical, g)
-    if not phi.is_surjective() or len(canonical.target.nodes) != len(Y.nodes):
+    # with equal fibers, phi: class of x -> g(x) is a well-defined bijection
+    # onto Y (g is surjective), and order-preserving because g is; so it is an
+    # isomorphism iff it carries the canonical covers onto Y's covers
+    Q = canonical.target
+    if len(Q.nodes) != len(Y.nodes):
         return GluingReport(False, "comparison map is not bijective")
-    inverse = PosetMap(Y, canonical.target, {v: k for k, v in phi.assignment.items()})
-    if not morphism.is_poset_map(inverse):
-        return GluingReport(
-            False,
-            "comparison map is not an isomorphism",
-            morphism.poset_map_violation(inverse),
-        )
-    return GluingReport(True)
+    phi = {canonical.map(x): g(x) for x in X.nodes}
+    if {(phi[a], phi[b]) for a, b in Q.covers} == Y.covers:
+        return GluingReport(True)
+    # some cover of Y then pulls back to an unordered pair; report the least
+    inverse = {y: q for q, y in phi.items()}
+    witness = next(
+        (a, b) for a, b in sorted(Y.covers) if inverse[b] not in Q._up[inverse[a]]
+    )
+    return GluingReport(False, "comparison map is not an isomorphism", witness)
 
 
 def find_c_sequence(

@@ -230,6 +230,27 @@ class TestInputErrors:
         assert "maximal chains: 1" in out
 
 
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.poset"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code = main(["info", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: JSON nests too deeply\n"
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr("posetglue.cli.decompose_to_point", broken)
+        code = main(["decompose", fx("x9.poset")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "internal error: RuntimeError('boom\\nsecond line')\n"
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 

@@ -151,6 +151,21 @@ class TestScriptDocuments:
         with pytest.raises(ParseError):
             parse_script(json.dumps(doc))
 
+    @pytest.mark.parametrize("where", ["version", "count"])
+    def test_boolean_is_not_an_integer(self, diamond, where):
+        obj = json.loads(emit_script(decompose_to_point(diamond)))
+        if where == "version":
+            obj["version"] = True
+        else:
+            step = next(s for s in obj["steps"] if s["kind"] == "elevate" and s["count"] == 1)
+            step["count"] = True
+        with pytest.raises(ParseError, match=f"field '{where}' has the wrong type"):
+            parse_script(json.dumps(obj))
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_script("[" * 100000 + "]" * 100000)
+
     def test_fresh_ids_count_mismatch(self):
         doc = {
             "version": 1,

@@ -6,6 +6,11 @@ covers off the successor sets. Each is compared with the construction it
 replaced, kept here as an oracle: the chain-sum gluing, the pairwise class
 relation, and ``networkx.transitive_reduction``.
 
+``glue_along_collection`` builds the quotient in one pass and
+``verify_gluing`` compares covers; both are checked against the stagewise
+fold they replaced (one ``glue_along_complete`` per member, composed maps,
+and an inverse comparison map), kept here as an oracle.
+
 The order kernel is checked the same way: ``build`` against ``networkx``
 (above) and against a relation with a cycle past a DAG part, heights, depths and chain counts
 against the maximal-chain listing, down-sets and completeness against their
@@ -22,17 +27,28 @@ import pytest
 
 from posetglue import (
     CycleDetected,
+    GluingReport,
+    GluingWitness,
+    NotComplete,
     NotPosetMap,
     PosetMap,
+    UnknownNode,
     build,
     chain_decomposition,
+    compose,
     embedding_violation,
+    identity_map,
     poset_map_violation,
     saturated_subset_violation,
     split_for_cover,
     verify_gluing,
 )
-from posetglue.gluing import glue_along_complete, normalize_collection
+from posetglue.gluing import (
+    fiber_collection,
+    glue_along_collection,
+    glue_along_complete,
+    normalize_collection,
+)
 from posetglue.generate import random_poset
 
 RANDOM_SEEDS = range(40)
@@ -280,3 +296,160 @@ def test_verifiers_return_the_double_loop_witness(small_posets):
             outcomes.add("saturated" if witness is None else "not saturated")
     # the maps and subsets reach every verdict
     assert len(outcomes) == 5
+
+
+def stagewise_glue(X, collection):
+    """The collection gluing as a fold: one complete-set gluing per member,
+    each composed onto the map so far."""
+    for C in collection:
+        C = frozenset(C)
+        if C and not X.is_complete_subset(C):
+            raise NotComplete(f"member {sorted(C)!r} is not interval-closed in the source")
+    members = normalize_collection(X, collection)
+    current = X
+    g = identity_map(X)
+    for C in members:
+        image = frozenset(g(x) for x in C)
+        if not current.is_complete_subset(image):
+            raise NotComplete(
+                f"image {sorted(image)!r} of member {sorted(C)!r} is not interval-closed at its stage"
+            )
+        step = glue_along_complete(current, image)
+        g = compose(g, step.map)
+        current = step.target
+    return GluingWitness(X, current, g, members)
+
+
+def stagewise_verify_gluing(X, Y, g, collection):
+    """verify_gluing on the fold: the same pointwise checks, then the
+    stagewise quotient, the comparison map read off fiber minima, and its
+    inverse checked as a poset map."""
+    if not isinstance(g, PosetMap):
+        g = PosetMap(X, Y, g)
+    if g.source != X or g.target != Y:
+        return GluingReport(False, "map endpoints do not match the claimed posets")
+    if poset_map_violation(g) is not None:
+        return GluingReport(False, "not a poset map", poset_map_violation(g))
+    if not g.is_surjective():
+        return GluingReport(False, "gluing map must be surjective")
+    raw = [frozenset(C) for C in collection]
+    for C in raw:
+        if len({g(x) for x in C}) > 1:
+            return GluingReport(False, f"map is not constant on member {sorted(C)!r}")
+    try:
+        members = normalize_collection(X, raw)
+    except UnknownNode:
+        return GluingReport(False, "collection references unknown nodes")
+    for C in fiber_collection(g):
+        xs = sorted(C)
+        for x in xs[1:]:
+            if not any(xs[0] in M and x in M for M in members):
+                return GluingReport(
+                    False, "distinct nodes collapse outside every collection member", (xs[0], x)
+                )
+    try:
+        canonical = stagewise_glue(X, members)
+    except NotComplete as exc:
+        return GluingReport(False, f"no gluing exists along this collection: {exc}")
+    if fiber_collection(canonical.map) != fiber_collection(g):
+        return GluingReport(False, "fibers differ from the canonical quotient's")
+    Q = canonical.target
+    phi = {y: g(min(canonical.map.fiber(y))) for y in Q.nodes}
+    if set(phi.values()) != set(Y.nodes) or len(Q.nodes) != len(Y.nodes):
+        return GluingReport(False, "comparison map is not bijective")
+    inverse = PosetMap(Y, Q, {v: k for k, v in phi.items()})
+    if poset_map_violation(inverse) is not None:
+        return GluingReport(
+            False, "comparison map is not an isomorphism", poset_map_violation(inverse)
+        )
+    return GluingReport(True)
+
+
+def gluing_posets(small_posets):
+    """Every poset on up to 6 nodes, then 60 seeded 10-node posets."""
+    return list(small_posets) + [random_poset(s, 10, 0.3) for s in range(60)]
+
+
+def seeded_collections(X, rng):
+    """Raw collections (any subsets, overlapping or not, complete or not, one
+    with an unknown id) and collections of interval-closed members."""
+    nodes = list(X.nodes)
+    closed = complete_subsets(X)
+    yield []
+    yield [["no-such-node", nodes[0]]]
+    for _ in range(3):
+        yield [
+            rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+            for _ in range(rng.randint(1, 3))
+        ]
+    for _ in range(3):
+        if closed:
+            yield rng.sample(closed, rng.randint(1, min(3, len(closed))))
+
+
+def outcome(glue, X, collection):
+    try:
+        w = glue(X, collection)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return w.target, w.map.assignment, w.collection
+
+
+def outcome_kind(result):
+    if not isinstance(result[0], type):
+        return "glued"
+    if result[0] is NotComplete:
+        return "in the source" if result[1].endswith("in the source") else "at its stage"
+    return result[0].__name__
+
+
+def test_one_pass_gluing_equals_the_stagewise_fold(small_posets):
+    rng = random.Random(5)
+    kinds = set()
+    for X in gluing_posets(small_posets):
+        for collection in seeded_collections(X, rng):
+            got = outcome(glue_along_collection, X, collection)
+            assert got == outcome(stagewise_glue, X, collection)
+            kinds.add(outcome_kind(got))
+    assert kinds == {"glued", "UnknownNode", "in the source", "at its stage"}
+
+
+def bad_targets(Y, g, rng):
+    """Y with one or two extra covers, Y with a dropped cover, and g with two
+    classes swapped, each paired with the map into it."""
+    nodes = list(Y.nodes)
+    # incomparable pairs oriented along a linear extension, so adding any of
+    # them keeps the relation acyclic
+    ext = linear_extension(Y)
+    unordered = [
+        (a, b) for i, a in enumerate(ext) for b in ext[i + 1 :] if not Y.leq(a, b)
+    ]
+    if unordered:
+        extra = rng.sample(unordered, min(len(unordered), rng.randint(1, 2)))
+        more = build(nodes, [*Y.covers, *extra])
+        yield more, PosetMap(g.source, more, g.assignment)
+    if Y.covers:
+        dropped = rng.choice(sorted(Y.covers))
+        fewer = build(nodes, Y.covers - {dropped})
+        yield fewer, PosetMap(g.source, fewer, g.assignment)
+    if len(nodes) >= 2:
+        y1, y2 = rng.sample(nodes, 2)
+        swap = {y1: y2, y2: y1}
+        yield Y, PosetMap(g.source, Y, {x: swap.get(y, y) for x, y in g.assignment.items()})
+
+
+def test_verify_gluing_matches_the_stagewise_verdict(small_posets):
+    rng = random.Random(6)
+    reasons = set()
+    for X in gluing_posets(small_posets):
+        for collection in seeded_collections(X, rng):
+            try:
+                w = glue_along_collection(X, collection)
+            except (NotComplete, UnknownNode):
+                continue
+            for Y, g in [(w.target, w.map), *bad_targets(w.target, w.map, rng)]:
+                report = verify_gluing(X, Y, g, collection)
+                assert report == stagewise_verify_gluing(X, Y, g, collection)
+                reasons.add(report.reason)
+            assert verify_gluing(X, w.target, w.map, collection)
+    assert {"ok", "not a poset map", "comparison map is not an isomorphism"} <= reasons
