@@ -4,13 +4,19 @@ A chain decomposition rebuilds a poset as a disjoint sum of fresh chains, one
 per maximal chain, glued back together fiber by fiber; gluing the sum along a
 subcollection of fibers gives the posets in between. Splitting a minimal node
 u is the gluing along every fiber except u's, with u's copies merged per
-cover only, but ``split_for_cover`` builds that poset directly from X's
-covers: the chain sum only names its nodes and defines the map t_F from it.
+cover only. The chain sum has one node per node of every maximal chain, so
+building it is exponential on wide posets; it stays as the paper-facing
+construction (``chain_decomposition``, ``split_for_cover`` with its map t_F)
+and as the oracle the tests compare against. The decompose hot path splits
+with ``_split_by_rank``, which builds the same split poset from X's covers
+and gives each node the id the chain-sum gluing would, computed from chain
+ranks and path counts without listing a chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 from .core import NodeId, Poset, build
@@ -79,13 +85,13 @@ def chain_decomposition(X: Poset) -> ChainDecomposition:
     phi = PosetMap(D, X, assignment)
 
     cd = ChainDecomposition(D, phi, tuple(chains))
-    _check_decomposition(cd)
+    _check_decomposition(cd, originals)
     return cd
 
 
-def _check_decomposition(cd: ChainDecomposition) -> None:
+def _check_decomposition(cd: ChainDecomposition, originals: list[tuple[NodeId, ...]]) -> None:
     X = cd.X
-    maximal = set(X.maximal_chains())
+    maximal = set(originals)
     images = set()
     for chain in cd.chains:
         image = tuple(cd.phi(d) for d in chain)
@@ -185,10 +191,38 @@ def split_for_cover(X: Poset, u1: NodeId, u2: NodeId) -> SplitResult:
     poset in bijection with the original's. When u1 has a single cover there
     is nothing to split and X itself comes back with identity maps.
 
-    F is built directly: X's covers that leave u1 are replaced by one edge
-    from each copy to its cover. The chain sum only supplies the ids, which
-    are those the gluing gives (each class keeps its least chain copy), and
-    the map t_F from the sum.
+    F and f_F come from ``_split_by_rank``, which names F's nodes by chain
+    rank without listing any chain; this function adds the chain sum and the
+    map t_F from it, so it lists every maximal chain of X. The decompose hot
+    path calls ``_split_by_rank`` directly.
+    """
+    F, f_F = _split_by_rank(X, u1, u2)
+    cd = chain_decomposition(X)
+    # every node of X but u1 has one id in F; u1's copies are told apart by
+    # the image of their single cover
+    own = {x: v for v, x in f_F.assignment.items() if x != u1}
+    copy = {f_F(w): v for v in f_F.fiber(u1) for w in F.upper_covers(v)}
+    t_assignment = {}
+    for chain in cd.chains:
+        for d in chain:
+            x = cd.phi(d)
+            t_assignment[d] = copy[cd.phi(chain[1])] if x == u1 else own[x]
+    result = SplitResult(F, PosetMap(cd.D, F, t_assignment), f_F)
+    _check_min_max_lift(cd, result)
+    return result
+
+
+def _split_by_rank(X: Poset, u1: NodeId, u2: NodeId) -> tuple[Poset, PosetMap]:
+    """F and f_F of ``split_for_cover``, with the same ids, in polynomial time.
+
+    In the chain sum, the copy of x in the maximal chain of rank r (the
+    chain's index in ``maximal_chains`` order) is "a{r}.{j}", j being x's
+    position in it, and F names each class by its string-least member. "."
+    sorts below every digit, so among ranks with the same number of digits
+    only the least can win: x's id is the least of at most one candidate per
+    digit count, and each candidate is found by one descent over path counts
+    (``_first_chain_through``). The chains that start (u1, c) fill one block
+    of consecutive ranks, which names u1's copy under c.
     """
     X._check_node(u1)
     X._check_node(u2)
@@ -197,48 +231,97 @@ def split_for_cover(X: Poset, u1: NodeId, u2: NodeId) -> SplitResult:
     if not X.is_cover(u1, u2):
         raise NotACover(f"{u2!r} does not cover {u1!r}")
 
-    cd = chain_decomposition(X)
-    # u1 is minimal, so it only ever starts a chain
-    cover_of = {chain[0]: cd.phi(chain[1]) for chain in cd.chains if cd.phi(chain[0]) == u1}
-    if len(set(cover_of.values())) == 1:
-        result = SplitResult(X, cd.phi, identity_map(X))
+    succ = {x: sorted(above) for x, above in X._cover_lists(upper=True).items()}
+    if len(succ[u1]) == 1:
+        F, f_F = X, identity_map(X)
     else:
-        name: dict[NodeId, NodeId] = {}  # node of X other than u1 -> id in F
+        count: dict[NodeId, int] = {}  # maximal chains from a node upward
+        for x in X._by_up_size(lowest_first=False):
+            count[x] = sum(count[c] for c in succ[x]) if succ[x] else 1
+        roots = sorted(X.min_nodes())
+        name = {}  # node of X other than u1 -> id in F
+        for x in X.nodes:
+            if x != u1:
+                name[x] = _least_id(partial(_first_chain_through, x, roots, succ, count, X._up))
         copy: dict[NodeId, NodeId] = {}  # cover of u1 -> id of u1's copy under it
-        for d, x in cd.phi.assignment.items():
-            if x == u1:
-                c = cover_of[d]
-                copy[c] = min(copy.get(c, d), d)
-            else:
-                name[x] = min(name.get(x, d), d)
+        lo = sum(count[m] for m in roots if m < u1)
+        for c in succ[u1]:
+            hi = lo + count[c]
+            copy[c] = _least_id(partial(_first_in_block, lo, hi))
+            lo = hi
         covers = [(name[a], name[b]) for a, b in X.covers if a != u1]
         covers.extend((v, name[c]) for c, v in copy.items())
         F = build([*name.values(), *copy.values()], covers)
-        t_F = PosetMap(
-            cd.D,
-            F,
-            {d: copy[cover_of[d]] if d in cover_of else name[x] for d, x in cd.phi.assignment.items()},
-        )
         f_F = PosetMap(F, X, {**{v: x for x, v in name.items()}, **{v: u1 for v in copy.values()}})
-        result = SplitResult(F, t_F, f_F)
-        _check_min_max_lift(cd, result)
-    _check_split_for_cover(X, result, u1, u2)
-    return result
+        lifted_min = set(copy.values()) | {name[m] for m in X.min_nodes() if m != u1}
+        if F.min_nodes() != lifted_min or F.max_nodes() != {name[m] for m in X.max_nodes()}:
+            raise InternalInvariantError("split broke the min/max correspondence")
+    _check_split_for_cover(X, F, f_F, u1, u2)
+    return F, f_F
 
 
-def _check_split_for_cover(X: Poset, result: SplitResult, u1: NodeId, u2: NodeId) -> None:
-    u1_pre = result.f_F.fiber(u1)
-    report = verify_gluing(result.F, X, result.f_F, (u1_pre,))
+def _least_id(first_from) -> NodeId:
+    """The string-least "a{r}.{j}", where first_from(floor) gives the least
+    rank r >= floor with its position j, or None when there is none."""
+    best = None
+    floor = 0
+    while (found := first_from(floor)) is not None:
+        r, j = found
+        candidate = f"a{r}.{j}"
+        if best is None or candidate < best:
+            best = candidate
+        floor = 10 ** len(str(r))  # the least rank with one more digit
+    return best
+
+
+def _first_in_block(lo: int, hi: int, floor: int):
+    """(least rank >= floor in [lo, hi), position 0), or None."""
+    r = max(lo, floor)
+    return (r, 0) if r < hi else None
+
+
+def _first_chain_through(x, roots, succ, count, up, floor: int):
+    """(rank, position of x) of the first maximal chain through x with rank
+    >= floor, or None.
+
+    The chains extending a prefix that ends at v fill a block of count[v]
+    consecutive ranks. The descent skips blocks that end below floor and
+    prefixes whose last node is not below x; once x is on the prefix, every
+    chain of the block runs through it. Only the one path of blocks that
+    straddle floor can fail, so the walk is polynomial. An explicit stack
+    keeps tall posets clear of the recursion limit.
+    """
+    frames = [[roots, 0, 0]]  # candidates, index of the next one, its first rank
+    while frames:
+        frame = frames[-1]
+        children, i, base = frame
+        if i == len(children):
+            frames.pop()
+            continue
+        c = children[i]
+        frame[1] = i + 1
+        frame[2] = base + count[c]
+        if base + count[c] <= floor or x not in up[c]:
+            continue
+        if c == x:
+            return max(base, floor), len(frames) - 1
+        frames.append([succ[c], 0, base])
+    return None
+
+
+def _check_split_for_cover(X: Poset, F: Poset, f_F: PosetMap, u1: NodeId, u2: NodeId) -> None:
+    u1_pre = f_F.fiber(u1)
+    report = verify_gluing(F, X, f_F, (u1_pre,))
     if not report:
         raise InternalInvariantError(f"X is not a gluing of F along the split fiber: {report.reason}")
-    witness = GluingWitness(result.F, X, result.f_F, (u1_pre,))
+    witness = GluingWitness(F, X, f_F, (u1_pre,))
     if not is_height_zero_gluing(witness):
         raise InternalInvariantError("split fiber escaped the minima")
     for v1 in sorted(u1_pre):
-        for v2 in sorted(result.f_F.fiber(u2)):
-            if not result.F.leq(v1, v2):
+        for v2 in sorted(f_F.fiber(u2)):
+            if not F.leq(v1, v2):
                 continue
-            if result.F.upper_covers(v1) != {v2}:
+            if F.upper_covers(v1) != {v2}:
                 raise InternalInvariantError(
                     f"{v2!r} is not the unique cover of split copy {v1!r}"
                 )

@@ -27,6 +27,10 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# `split` prints t_map over the chain sum, one entry per node of every
+# maximal chain; above this many chains it refuses instead of listing them.
+SPLIT_MAX_CHAINS = 4096
+
 
 def _read(path: str) -> str:
     if path == "-":
@@ -98,6 +102,10 @@ def cmd_glue(args) -> int:
 
 def cmd_split(args) -> int:
     X = _load_poset(args.poset)
+    if X.nodes and (count := X.maximal_chain_count()) > SPLIT_MAX_CHAINS:
+        raise InputError(
+            f"split prints a t_map over all {count} maximal chains; the limit is {SPLIT_MAX_CHAINS}"
+        )
     result = split_for_cover(X, args.min, args.cover)
     obj = {
         "version": documents.FORMAT_VERSION,

@@ -29,7 +29,7 @@ class Poset:
     internal callers read it directly once their ids are known to be valid.
     """
 
-    __slots__ = ("nodes", "covers", "_up", "_heights", "_depths", "_chains")
+    __slots__ = ("nodes", "covers", "_up", "_heights", "_depths")
 
     nodes: tuple[NodeId, ...]
     covers: frozenset[tuple[NodeId, NodeId]]
@@ -40,7 +40,6 @@ class Poset:
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_heights", None)
         object.__setattr__(self, "_depths", None)
-        object.__setattr__(self, "_chains", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset values are immutable")
@@ -165,31 +164,31 @@ class Poset:
     def maximal_chains(self) -> list[Chain]:
         """All chains from a minimal to a maximal node, following covers.
 
-        Exhaustive, duplicate-free, lexicographic by node sequence.
+        Exhaustive, duplicate-free, lexicographic by node sequence. The list
+        can be exponentially long, so it is recomputed per call, not cached;
+        ``maximal_chain_count`` counts without listing.
         """
         self._check_nonempty()
-        if self._chains is None:
-            succ: dict[NodeId, list[NodeId]] = {x: [] for x in self.nodes}
-            for a, b in sorted(self.covers):
-                succ[a].append(b)
-            chains: list[Chain] = []
-            # depth-first with an explicit stack, so long chains cannot hit
-            # the recursion limit; successors are taken in sorted order
-            for m in sorted(self.min_nodes()):
-                path = [m]
-                pending = [iter(succ[m])]
-                while pending:
-                    b = next(pending[-1], None)
-                    if b is None:
-                        if not succ[path[-1]]:
-                            chains.append(tuple(path))
-                        pending.pop()
-                        path.pop()
-                        continue
-                    path.append(b)
-                    pending.append(iter(succ[b]))
-            object.__setattr__(self, "_chains", chains)
-        return list(self._chains)
+        succ: dict[NodeId, list[NodeId]] = {x: [] for x in self.nodes}
+        for a, b in sorted(self.covers):
+            succ[a].append(b)
+        chains: list[Chain] = []
+        # depth-first with an explicit stack, so long chains cannot hit
+        # the recursion limit; successors are taken in sorted order
+        for m in sorted(self.min_nodes()):
+            path = [m]
+            pending = [iter(succ[m])]
+            while pending:
+                b = next(pending[-1], None)
+                if b is None:
+                    if not succ[path[-1]]:
+                        chains.append(tuple(path))
+                    pending.pop()
+                    path.pop()
+                    continue
+                path.append(b)
+                pending.append(iter(succ[b]))
+        return chains
 
     def maximal_chain_count(self) -> int:
         """len(maximal_chains()), without listing them.

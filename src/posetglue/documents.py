@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from .core import Poset, build
+from .core import NodeId, Poset, build
 from .errors import ParseError
 from .gext import ConstructionScript, ElevateStep, GlueStep
 
@@ -215,6 +215,12 @@ def parse_script(text: str) -> ConstructionScript:
     return script_from_obj(_load(text))
 
 
+def _dot_id(x: NodeId) -> str:
+    """x as a Graphviz quoted string: backslash and double quote escaped."""
+    escaped = x.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
 def emit_dot(P: Poset, highlight=()) -> str:
     """Graphviz text: edges run bottom-to-top, nodes ranked by height."""
     highlight = frozenset(highlight)
@@ -228,9 +234,9 @@ def emit_dot(P: Poset, highlight=()) -> str:
         lines.append("  { rank=same;")
         for x in sorted(by_height[h]):
             style = ' [style=filled, fillcolor=lightblue]' if x in highlight else ""
-            lines.append(f'    "{x}"{style};')
+            lines.append(f"    {_dot_id(x)}{style};")
         lines.append("  }")
     for a, b in sorted(P.covers):
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

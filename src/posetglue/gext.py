@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import morphism
-from .chains import split_for_cover
+from .chains import _split_by_rank
 from .core import NodeId, Poset, build
 from .errors import (
     BrokenEmbedding,
@@ -201,13 +201,12 @@ def gextension_step(F1: Poset) -> GExtension:
             for u in F.min_nodes()
             if F.is_cover(u, y) and F.upper_covers(u) != {y}
         )
-        split = split_for_cover(F, u, y)
-        y_fiber = split.f_F.fiber(y)
+        F, f_F = _split_by_rank(F, u, y)
+        y_fiber = f_F.fiber(y)
         if len(y_fiber) != 1:
             raise InternalInvariantError(f"pivot {y!r} did not lift uniquely")
-        F = split.F
         y = min(y_fiber)
-        h = compose(split.f_F, h)
+        h = compose(f_F, h)
         m_new = m_count(F, y)
         if m_new >= m:
             raise InternalInvariantError(f"shared-minima count failed to drop: {m} -> {m_new}")

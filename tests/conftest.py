@@ -58,6 +58,17 @@ def vee() -> Poset:
     return build(["a", "b", "t"], [("a", "t"), ("b", "t")])
 
 
+def diamond_ladder(rungs: int) -> Poset:
+    """A bottom "b" under `rungs` stacked diamonds: 3 * rungs + 1 nodes and
+    2**rungs maximal chains."""
+    nodes, covers, below = ["b"], [], "b"
+    for i in range(rungs):
+        nodes += [f"l{i}", f"r{i}", f"j{i}"]
+        covers += [(below, f"l{i}"), (below, f"r{i}"), (f"l{i}", f"j{i}"), (f"r{i}", f"j{i}")]
+        below = f"j{i}"
+    return build(nodes, covers)
+
+
 def oracle_reachable(P: Poset, a: str, b: str) -> bool:
     """BFS over cover edges; a <= b."""
     if a == b:

@@ -10,9 +10,9 @@ import pytest
 
 from posetglue import find_isomorphism
 from posetglue.cli import main
-from posetglue.documents import parse_poset, parse_script
+from posetglue.documents import emit_poset, parse_poset, parse_script
 
-from conftest import FIXTURES
+from conftest import FIXTURES, diamond_ladder
 
 
 def run(capsys, *argv):
@@ -23,6 +23,12 @@ def run(capsys, *argv):
 
 def fx(name):
     return str(FIXTURES / name)
+
+
+def ladder_file(tmp_path, rungs):
+    path = tmp_path / f"ladder-{rungs}.poset"
+    path.write_text(emit_poset(diamond_ladder(rungs)))
+    return path
 
 
 class TestInfo:
@@ -46,17 +52,7 @@ class TestInfo:
         assert out.encode("utf-8") == (GOLDEN / "info.txt").read_bytes()
 
     def test_ladder_chains_are_counted_not_listed(self, capsys, tmp_path):
-        from posetglue import build
-        from posetglue.documents import emit_poset
-
-        # a bottom under 40 stacked diamonds: 2**40 maximal chains
-        nodes, covers, below = ["b"], [], "b"
-        for i in range(40):
-            nodes += [f"l{i}", f"r{i}", f"j{i}"]
-            covers += [(below, f"l{i}"), (below, f"r{i}"), (f"l{i}", f"j{i}"), (f"r{i}", f"j{i}")]
-            below = f"j{i}"
-        path = tmp_path / "ladder.poset"
-        path.write_text(emit_poset(build(nodes, covers)))
+        path = ladder_file(tmp_path, 40)  # 2**40 maximal chains
         start = time.perf_counter()
         code, out = run(capsys, "info", str(path))
         assert time.perf_counter() - start < 5.0
@@ -111,6 +107,28 @@ class TestSplitElevateRetract:
         obj = json.loads(out)
         F = parse_poset(json.dumps(obj["f"]))
         assert find_isomorphism(F, diamond_split) is not None
+
+    def test_split_fixture_outputs_are_byte_identical_to_the_pin(self, capsys):
+        out = ""
+        for path in sorted(FIXTURES.glob("*.poset")):
+            X = parse_poset(path.read_text())
+            for u1 in sorted(X.min_nodes()):
+                for u2 in sorted(X.upper_covers(u1)):
+                    code, text = run(capsys, "split", str(path), "--min", u1, "--cover", u2)
+                    assert code == 0
+                    out += f"## {path.name} --min {u1} --cover {u2}\n{text}"
+        assert out.encode("utf-8") == (GOLDEN / "split.txt").read_bytes()
+
+    def test_split_refuses_too_many_chains_without_listing_them(self, capsys, tmp_path):
+        path = ladder_file(tmp_path, 40)
+        start = time.perf_counter()
+        code = main(["split", str(path), "--min", "b", "--cover", "l0"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "1099511627776" in captured.err
 
     def test_elevate_then_retract(self, capsys, tmp_path):
         code, out = run(capsys, "elevate", fx("point.poset"), "--at", "p", "--count", "2")

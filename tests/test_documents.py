@@ -196,6 +196,12 @@ class TestDot:
         out = emit_dot(build([], []))
         assert out.startswith("digraph") and "->" not in out
 
+    def test_quote_and_backslash_in_ids_are_escaped(self):
+        out = emit_dot(build(['a"b', "c\\"], [('a"b', "c\\")]), ['a"b'])
+        assert '    "a\\"b" [style=filled, fillcolor=lightblue];' in out.splitlines()
+        assert '    "c\\\\";' in out.splitlines()
+        assert '  "a\\"b" -> "c\\\\";' in out.splitlines()
+
     @pytest.mark.parametrize(
         "golden_name,fixture,highlight",
         [

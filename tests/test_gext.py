@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posetglue
 from posetglue import (
     BrokenEmbedding,
     ConstructionScript,
@@ -36,8 +39,13 @@ from posetglue import (
     verify_gluing,
     wrap,
 )
+from posetglue import chains
+from posetglue.core import Poset
+from posetglue.documents import emit_script, parse_script
 from posetglue.gluing import fiber_collection, is_height_zero_gluing
 from posetglue.generate import random_poset
+
+from conftest import FIXTURES, diamond_ladder
 
 
 def chain(*ids):
@@ -342,6 +350,50 @@ class TestDecomposeToPoint:
         final, _ = replay(script)
         tracked = PosetMap(P, final, script.embedding)
         assert is_saturated_embedding(tracked)
+
+
+@pytest.fixture(scope="module")
+def wide_seed_one():
+    """The posets of the benchmark's `wide` workload at seed 1 (drawing them
+    lists chains, so module scope sets them up before any patching)."""
+    path = FIXTURES.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [inp.poset for inp in workloads.make_inputs(posetglue, "wide", 1)]
+
+
+def certify(X):
+    """decompose -> emit -> parse -> replay; the tracked map must be a
+    saturated embedding of X."""
+    script = decompose_to_point(X)
+    parsed = parse_script(emit_script(script))
+    final, _ = replay(parsed)
+    assert parsed.source == X
+    assert is_saturated_embedding(PosetMap(X, final, parsed.embedding))
+
+
+class TestPolynomialSplit:
+    @pytest.fixture
+    def no_chain_listing(self, monkeypatch):
+        """Listing maximal chains raises, so a regression fails at once
+        instead of enumerating 2**30 chains."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("maximal chains were listed")
+
+        monkeypatch.setattr(Poset, "maximal_chains", refuse)
+        monkeypatch.setattr(chains, "chain_decomposition", refuse)
+
+    def test_decompose_and_replay_never_list_chains(self, wide_seed_one, no_chain_listing):
+        for X in [diamond_ladder(12), *wide_seed_one]:
+            certify(X)
+
+    def test_thirty_rung_ladder_certifies_within_budget(self, no_chain_listing):
+        X = diamond_ladder(30)  # 91 nodes, 2**30 maximal chains
+        start = time.perf_counter()
+        certify(X)
+        assert time.perf_counter() - start < 10.0
 
 
 class TestReplay:

@@ -1,6 +1,7 @@
 """Fast paths against the slow constructions they replaced.
 
-``split_for_cover`` builds the split poset straight from the covers,
+The split behind ``split_for_cover`` (``_split_by_rank``) builds the split
+poset straight from the covers and names its nodes by chain rank,
 ``glue_along_complete`` quotients the cover image, and ``build`` reads the
 covers off the successor sets. Each is compared with the construction it
 replaced, kept here as an oracle: the chain-sum gluing, the pairwise class
@@ -43,6 +44,7 @@ from posetglue import (
     split_for_cover,
     verify_gluing,
 )
+from posetglue.chains import _split_by_rank
 from posetglue.gluing import (
     fiber_collection,
     glue_along_collection,
@@ -50,6 +52,8 @@ from posetglue.gluing import (
     normalize_collection,
 )
 from posetglue.generate import random_poset
+
+from conftest import diamond_ladder
 
 RANDOM_SEEDS = range(40)
 RANDOM_NODES = 12
@@ -77,10 +81,10 @@ def pairwise_glue(X, S):
     return build(set(name_of.values()), relation), name_of
 
 
-def chain_sum_split(X, u1):
-    """Glue the chain sum along every fiber but u1's, with u1's copies merged
-    per cover. Returns (F, t_F assignment, f_F assignment, glued members),
-    or None when u1 has a single cover and nothing splits."""
+def chain_sum_collection(X, u1):
+    """The chain decomposition of X and the collection F glues it along:
+    every fiber but u1's, and u1's chain copies grouped by the cover their
+    chain climbs through. None when u1 has a single cover and nothing splits."""
     cd = chain_decomposition(X)
     u1_fiber = cd.fiber_of(u1)
     groups: dict[str, set[str]] = {}
@@ -91,6 +95,17 @@ def chain_sum_split(X, u1):
         return None
     collection = [E for E in cd.fibers() if E != u1_fiber]
     collection.extend(frozenset(g) for g in groups.values() if len(g) >= 2)
+    return cd, collection
+
+
+def chain_sum_split(X, u1):
+    """Glue the chain sum member by member with the pairwise relation.
+    Returns (F, t_F assignment, f_F assignment, glued members), or None when
+    u1 has a single cover and nothing splits."""
+    found = chain_sum_collection(X, u1)
+    if found is None:
+        return None
+    cd, collection = found
     members = normalize_collection(cd.D, collection)
     F = cd.D
     t = {d: d for d in cd.D.nodes}
@@ -127,6 +142,46 @@ def test_direct_split_equals_chain_sum_gluing(small_posets):
                 assert result.f_F.assignment == f
                 assert verify_gluing(cd.D, result.F, result.t_F, members)
     assert cases == 1468
+
+
+def chain_sum_gluing(X, u1):
+    """F and the f_F assignment of the chain sum glued in one pass, or None
+    when u1 has a single cover."""
+    found = chain_sum_collection(X, u1)
+    if found is None:
+        return None
+    cd, collection = found
+    w = glue_along_collection(cd.D, collection)
+    return w.target, {w.map(d): cd.phi(d) for d in cd.D.nodes}
+
+
+def rank_split_posets(small_posets):
+    """Every poset on up to 6 nodes, 48 seeded 16- and 24-node posets (up to
+    104 maximal chains, so three-digit ranks), and ladders of 1 to 11 rungs
+    (up to 2,048 chains)."""
+    out = list(small_posets)
+    out += [random_poset(s, n, 0.3) for n in (16, 24) for s in range(24)]
+    out += [diamond_ladder(k) for k in range(1, 12)]
+    return out
+
+
+def test_rank_split_equals_the_chain_sum_gluing(small_posets):
+    cases = 0
+    for X in rank_split_posets(small_posets):
+        for u1 in sorted(X.min_nodes()):
+            covers = sorted(X.upper_covers(u1))
+            if not covers:
+                continue
+            cases += 1
+            F, f_F = _split_by_rank(X, u1, covers[0])
+            oracle = chain_sum_gluing(X, u1)
+            if oracle is None:
+                assert F is X
+                assert f_F.assignment == {x: x for x in X.nodes}
+            else:
+                assert F == oracle[0]
+                assert f_F.assignment == oracle[1]
+    assert cases == 952
 
 
 def test_glue_along_complete_equals_pairwise_relation(small_posets):
