@@ -4,15 +4,17 @@ A ``Poset`` stores a sorted node tuple and the transitively reduced cover
 relation; the full order is kept as precomputed up-sets only. Down-sets are
 computed per call from the up-sets, and linear extensions come from
 up-set sizes (``a < b`` implies ``|up(a)| > |up(b)|``), so no topological sort
-is stored or repeated. Values are immutable after ``build`` and safe to share:
-every operation here is a pure function of its inputs. All iteration is over
-sorted ids so results are reproducible byte-for-byte.
+is stored or repeated. Values are created only here, by ``build`` or by the two
+local constructors ``_elevated`` and ``_retracted``; they are immutable and
+safe to share, so those two reuse their input's up-set objects instead of
+re-closing the order. Every operation here is a pure function of its inputs.
+All iteration is over sorted ids so results are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 import graphlib
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CycleDetected, DanglingNode, EmptyPoset, UnknownNode
 
@@ -24,12 +26,16 @@ class Poset:
     """Finite poset, normalized to its Hasse diagram at construction.
 
     Do not instantiate directly; go through :func:`build`, which validates,
-    closes, and reduces the input relation. ``_up`` maps each node to its
+    closes, and reduces the input relation, or one of the two local
+    constructors ``_elevated`` and ``_retracted``, which derive an elevation's
+    or a retraction's result from its input. ``_up`` maps each node to its
     up-set (the node included); it is the only stored form of the order, and
     internal callers read it directly once their ids are known to be valid.
+    Up-set values may be shared between posets. Heights, depths, minima and
+    maxima are computed on first use and cached.
     """
 
-    __slots__ = ("nodes", "covers", "_up", "_heights", "_depths")
+    __slots__ = ("nodes", "covers", "_up", "_heights", "_depths", "_min", "_max")
 
     nodes: tuple[NodeId, ...]
     covers: frozenset[tuple[NodeId, NodeId]]
@@ -40,6 +46,8 @@ class Poset:
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_heights", None)
         object.__setattr__(self, "_depths", None)
+        object.__setattr__(self, "_min", None)
+        object.__setattr__(self, "_max", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poset values are immutable")
@@ -104,13 +112,17 @@ class Poset:
 
     def min_nodes(self) -> frozenset[NodeId]:
         self._check_nonempty()
-        lowers = {b for (_, b) in self.covers}
-        return frozenset(x for x in self.nodes if x not in lowers)
+        if self._min is None:
+            lowers = {b for (_, b) in self.covers}
+            object.__setattr__(self, "_min", frozenset(x for x in self.nodes if x not in lowers))
+        return self._min
 
     def max_nodes(self) -> frozenset[NodeId]:
         self._check_nonempty()
-        uppers = {a for (a, _) in self.covers}
-        return frozenset(x for x in self.nodes if x not in uppers)
+        if self._max is None:
+            uppers = {a for (a, _) in self.covers}
+            object.__setattr__(self, "_max", frozenset(x for x in self.nodes if x not in uppers))
+        return self._max
 
     def _by_up_size(self, lowest_first: bool) -> list[NodeId]:
         # a < b implies |up(a)| > |up(b)|, so this is a linear extension
@@ -281,6 +293,42 @@ def build(nodes: Iterable[NodeId], relation: Iterable[tuple[NodeId, NodeId]]) ->
         tuple(sorted(node_set)),
         frozenset(cover_list),
         {x: strict_up[x] | {x} for x in node_set},
+    )
+
+
+def _elevated(X: Poset, p: NodeId, fresh_ids: Sequence[NodeId]) -> Poset:
+    """X with each fresh id added as a new minimum whose only cover is p.
+
+    The caller has checked that p is a minimal node of X and that the fresh
+    ids are distinct and new. Nothing of X lies below a fresh id, so every
+    up-set of X is reused as it is, and a fresh q gets ``{q} | up(p)``.
+    """
+    up = dict(X._up)
+    up_p = X._up[p]
+    for q in fresh_ids:
+        up[q] = up_p | {q}
+    return Poset(
+        tuple(sorted(up)),
+        X.covers | {(q, p) for q in fresh_ids},
+        up,
+    )
+
+
+def _retracted(Z: Poset, z: NodeId, down: frozenset[NodeId]) -> Poset:
+    """Z with the down-set of z collapsed to its least id c.
+
+    The caller has checked that down is the down-set of z and that z is the
+    only cover of every other node in it. No up-set of a node outside down
+    meets down, so those are reused as they are; c gets z's up-set with z
+    renamed. The covers are Z's covers that end outside down, with z renamed.
+    """
+    c = min(down)
+    up = {x: u for x, u in Z._up.items() if x not in down}
+    up[c] = (Z._up[z] - {z}) | {c}
+    return Poset(
+        tuple(sorted(up)),
+        frozenset((c if a == z else a, b) for a, b in Z.covers if b not in down),
+        up,
     )
 
 

@@ -84,10 +84,11 @@ def poset_document_from_obj(obj: Any, where: str = "poset") -> PosetDocument:
     labels: dict[str, str] = {}
     if isinstance(obj, dict) and "labels" in obj:
         raw = _expect(obj, "labels", dict, where)
+        node_set = set(nodes)
         for k, v in raw.items():
             if not isinstance(k, str) or not isinstance(v, str):
                 raise ParseError(f"{where}: labels must map node ids to strings")
-            if k not in set(nodes):
+            if k not in node_set:
                 raise ParseError(f"{where}: label for unknown node {k!r}")
             labels[k] = v
     note = obj.get("note") if isinstance(obj, dict) else None

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import morphism
 from .chains import _split_by_rank
-from .core import NodeId, Poset, build
+from .core import NodeId, Poset, _elevated, _retracted, build
 from .errors import (
     BrokenEmbedding,
     EmptyPoset,
@@ -35,7 +35,6 @@ from .gluing import (
     check_dim_min_preservation,
     fiber_collection,
     glue_along_collection,
-    glue_along_complete,
     is_height_zero_gluing,
     verify_gluing,
 )
@@ -81,8 +80,13 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
     """Collapse the down-set of z to a point.
 
     z must have height one and be the only cover of everything below it.
-    The collapsed class keeps the least id in the down-set; the section e
-    sends each surviving node to its unique preimage and the class to z.
+    The collapsed class keeps the least id c in the down-set, as
+    ``glue_along_complete`` names it, but X is derived from Z directly
+    (``core._retracted``): it shares Z's up-set objects outside the down-set,
+    so making X takes time linear in the size of Z instead of a re-closure of
+    the order. The section e sends each surviving node to its unique preimage
+    and c to z. ``validate`` still checks the result against the canonical
+    gluing in full.
     """
     Z._check_node(z)
     if Z.height(z) != 1:
@@ -93,11 +97,12 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
             raise NotUniqueCover(
                 f"{w!r} below {z!r} has covers {sorted(Z.upper_covers(w))!r}", node=w
             )
-    witness = glue_along_complete(Z, down)
-    X, r = witness.target, witness.map
+    X = _retracted(Z, z, down)
+    c = min(down)
+    r = PosetMap(Z, X, {w: c if w in down else w for w in Z.nodes})
     # every node outside the down-set is alone in its fiber
-    e_assignment = {r(w): w for w in Z.nodes if w not in down}
-    e_assignment[r(z)] = z
+    e_assignment = {w: w for w in Z.nodes if w not in down}
+    e_assignment[c] = z
     e = PosetMap(X, Z, e_assignment)
     result = ElevationWitness(Z, z, X, r, e)
     result.validate()
@@ -107,7 +112,13 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
 def elevate(
     X: Poset, p: NodeId, n: int, fresh_ids: Optional[Sequence[NodeId]] = None
 ) -> ElevationWitness:
-    """Grow n fresh minima under the minimal node p."""
+    """Grow n fresh minima under the minimal node p.
+
+    Z is derived from X directly (``core._elevated``): it reuses X's up-set
+    objects and gives each fresh q the up-set ``{q} | up(p)``, so making Z
+    takes time linear in its size instead of a re-closure of the order.
+    ``validate`` still checks the result in full.
+    """
     X._check_node(p)
     if p not in X.min_nodes():
         raise NotMinimal(f"{p!r} is not a minimal node")
@@ -122,10 +133,7 @@ def elevate(
         for q in fresh_ids:
             if q in X:
                 raise InputError(f"fresh id {q!r} already present")
-    Z = build(
-        list(X.nodes) + list(fresh_ids),
-        set(X.covers) | {(q, p) for q in fresh_ids},
-    )
+    Z = _elevated(X, p, fresh_ids)
     r = PosetMap(Z, X, {**{x: x for x in X.nodes}, **{q: p for q in fresh_ids}})
     e = inclusion_map(X, Z)
     result = ElevationWitness(Z, p, X, r, e)

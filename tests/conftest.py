@@ -8,11 +8,13 @@ order relation. Frozen expected values in the tests were produced by these.
 
 from __future__ import annotations
 
+import importlib.util
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import posetglue
 from posetglue import Poset, build
 from posetglue.documents import parse_poset
 
@@ -21,6 +23,16 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def load_fixture(name: str) -> Poset:
     return parse_poset((FIXTURES / name).read_text())
+
+
+def benchmark_inputs(workload: str, seed: int) -> list:
+    """The inputs of a workload of the benchmark in ``perfbench/``, each a
+    (label, poset, wrap options) tuple."""
+    path = FIXTURES.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_inputs(posetglue, workload, seed)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +94,18 @@ class TestPosetDocuments:
         again = parse_poset_document(emit_poset_document(doc))
         assert again.labels == doc.labels
         assert emit_poset_document(again) == emit_poset_document(doc)
+
+    def test_many_labels_parse_in_linear_time(self):
+        from posetglue.documents import parse_poset_document
+
+        nodes = [f"n{i}" for i in range(20000)]
+        text = json.dumps(
+            {"version": 1, "nodes": nodes, "covers": [], "labels": {x: x.upper() for x in nodes}}
+        )
+        start = time.perf_counter()
+        doc = parse_poset_document(text)
+        assert time.perf_counter() - start < 1.0
+        assert len(doc.labels) == 20000
 
     def test_label_for_unknown_node(self):
         from posetglue.documents import parse_poset_document

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import importlib.util
 import random
 import time
 from itertools import product
@@ -9,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import posetglue
 from posetglue import (
     BrokenEmbedding,
     ConstructionScript,
     ElevateStep,
+    ElevationWitness,
     InputError,
     NotHeightOne,
     NotMinimal,
@@ -45,7 +44,7 @@ from posetglue.documents import emit_script, parse_script
 from posetglue.gluing import fiber_collection, is_height_zero_gluing
 from posetglue.generate import random_poset
 
-from conftest import FIXTURES, diamond_ladder
+from conftest import benchmark_inputs, diamond_ladder
 
 
 def chain(*ids):
@@ -89,8 +88,36 @@ class TestRetract:
         assert is_embedding(w.e)
         assert frozenset(w.Z.nodes) == w.Z.down_set("5") | w.e.image()
 
+    def test_shares_the_up_sets_outside_the_down_set(self, gext_z, x9):
+        # at "10" the class takes the fresh id "0", not the pivot's own
+        for Z, z in [(gext_z, "5"), (elevate(x9, "10", 2, fresh_ids=["0", "00"]).Z, "10")]:
+            down = Z.down_set(z)
+            w = retract(Z, z)
+            kept = [x for x in Z.nodes if x not in down]
+            assert kept and all(w.X._up[x] is Z._up[x] for x in kept)
+
+
+class TestLocalConstructorsValidate:
+    def test_every_returned_witness_is_validated(self, monkeypatch, x9):
+        validated = []
+        original = ElevationWitness.validate
+
+        def recording(self):
+            original(self)
+            validated.append(self)
+
+        monkeypatch.setattr(ElevationWitness, "validate", recording)
+        grown = elevate(x9, "10", 2)
+        back = retract(grown.Z, "10")
+        assert validated == [grown, back]
+
 
 class TestElevate:
+    def test_shares_every_up_set_of_x(self, x9):
+        for p in sorted(x9.min_nodes()):
+            w = elevate(x9, p, 2)
+            assert all(w.Z._up[x] is x9._up[x] for x in x9.nodes)
+
     def test_point_by_two_gives_vee(self):
         P = build(["p"], [])
         w = elevate(P, "p", 2)
@@ -356,11 +383,7 @@ class TestDecomposeToPoint:
 def wide_seed_one():
     """The posets of the benchmark's `wide` workload at seed 1 (drawing them
     lists chains, so module scope sets them up before any patching)."""
-    path = FIXTURES.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [inp.poset for inp in workloads.make_inputs(posetglue, "wide", 1)]
+    return [inp.poset for inp in benchmark_inputs("wide", 1)]
 
 
 def certify(X):

@@ -17,6 +17,10 @@ The order kernel is checked the same way: ``build`` against ``networkx``
 against the maximal-chain listing, down-sets and completeness against their
 definitions, and the up-set verifiers of ``morphism`` against the double
 loops of checked ``leq`` calls they replaced.
+
+``elevate`` and ``retract`` derive their result from their input's up-sets
+(``core._elevated`` and ``core._retracted``); they are checked against
+``build`` and ``glue_along_complete``, which they replaced.
 """
 
 from __future__ import annotations
@@ -34,15 +38,19 @@ from posetglue import (
     NotPosetMap,
     PosetMap,
     UnknownNode,
+    WrapOptions,
     build,
     chain_decomposition,
     compose,
+    elevate,
     embedding_violation,
     identity_map,
     poset_map_violation,
+    retract,
     saturated_subset_violation,
     split_for_cover,
     verify_gluing,
+    wrap,
 )
 from posetglue.chains import _split_by_rank
 from posetglue.gluing import (
@@ -53,7 +61,7 @@ from posetglue.gluing import (
 )
 from posetglue.generate import random_poset
 
-from conftest import diamond_ladder
+from conftest import benchmark_inputs, diamond_ladder
 
 RANDOM_SEEDS = range(40)
 RANDOM_NODES = 12
@@ -508,3 +516,51 @@ def test_verify_gluing_matches_the_stagewise_verdict(small_posets):
                 reasons.add(report.reason)
             assert verify_gluing(X, w.target, w.map, collection)
     assert {"ok", "not a poset map", "comparison map is not an isomorphism"} <= reasons
+
+
+def elevation_posets(small_posets):
+    """Every poset on up to 6 nodes, 40 seeded 16-node posets, and the
+    benchmark's `deep` seed-1 inputs, both as given and padded as
+    ``decompose_to_point`` pads them."""
+    out = list(small_posets) + [random_poset(s, 16, 0.3) for s in RANDOM_SEEDS]
+    for inp in benchmark_inputs("deep", 1):
+        out.append(inp.poset)
+        out.append(wrap(inp.poset, inp.options or WrapOptions())[0])
+    return out
+
+
+def same_order(P, Q):
+    return P.nodes == Q.nodes and P.covers == Q.covers and P._up == Q._up
+
+
+def retractable(P, z):
+    """z has height one and is the only cover of everything below it."""
+    return P.height(z) == 1 and all(
+        P.upper_covers(w) == {z} for w in P.down_set(z) - {z}
+    )
+
+
+def assert_retract_equals_the_gluing(Z, z):
+    w = retract(Z, z)
+    glued = glue_along_complete(Z, Z.down_set(z))
+    assert same_order(w.X, glued.target)
+    assert w.r == glued.map
+
+
+def test_local_elevation_and_retraction_equal_build_and_the_gluing(small_posets):
+    elevations = retractions = 0
+    for X in elevation_posets(small_posets):
+        for p in sorted(X.min_nodes()):
+            for n in (1, 2, 3):
+                Z = elevate(X, p, n).Z
+                rebuilt = build(Z.nodes, Z.covers)
+                assert same_order(Z, rebuilt)
+                # retract a poset that build made, so each constructor is
+                # checked on its own
+                assert_retract_equals_the_gluing(rebuilt, p)
+                elevations += 1
+        for z in X.nodes:
+            if retractable(X, z):
+                assert_retract_equals_the_gluing(X, z)
+                retractions += 1
+    assert (elevations, retractions) == (3534, 296)

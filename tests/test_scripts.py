@@ -1,0 +1,56 @@
+"""The scripts in ``scripts/`` report a failed certificate by exit status.
+
+They check with an explicit test, not ``assert``, so the check also runs
+under ``python -O``. Each test loads a script as a module and patches its
+check to fail.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+
+import pytest
+
+from conftest import FIXTURES
+
+SCRIPTS = FIXTURES.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def sweep(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["sweep_small_posets.py", "3"])
+    return load_script("sweep_small_posets")
+
+
+def test_sweep_exits_zero_when_every_certificate_verifies(sweep, capsys):
+    assert sweep.main() == 0
+    assert "all certificates verified" in capsys.readouterr().out
+
+
+def test_sweep_exits_one_and_names_the_poset_when_a_certificate_fails(
+    sweep, monkeypatch, capsys
+):
+    monkeypatch.setattr(sweep, "is_saturated_embedding", lambda f: False)
+    assert sweep.main() == 1
+    out, err = capsys.readouterr()
+    assert "all certificates verified" not in out
+    assert "8 certificates FAILED" in out
+    assert err.count("certificate failed: Poset(") == 8
+
+
+def test_demo_exits_one_and_names_the_poset_when_the_certificate_fails(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["demo_decompose.py"])
+    demo = load_script("demo_decompose")
+    monkeypatch.setattr(demo, "is_saturated_embedding", lambda f: False)
+    assert demo.main() == 1
+    out, err = capsys.readouterr()
+    assert "script written" not in out
+    assert err.startswith("certificate failed: Poset(")
