@@ -509,6 +509,14 @@ def _verify_certificate(script: ConstructionScript, final: Poset) -> None:
     if missing:
         raise BrokenEmbedding(f"embedding lands outside the final poset: {missing[:3]!r}")
     if script.source is not None:
+        # a tampered key set is a failed certificate, not bad input
+        if script.embedding.keys() != script.source._up.keys():
+            missing = sorted(x for x in script.source.nodes if x not in script.embedding)
+            extra = sorted(x for x in script.embedding if x not in script.source)
+            raise BrokenEmbedding(
+                f"embedding keys are not the source nodes: missing {missing[:3]!r}, "
+                f"extra {extra[:3]!r}"
+            )
         tracked = PosetMap(script.source, final, script.embedding)
         if not morphism.is_poset_map(tracked):
             raise BrokenEmbedding(

@@ -96,7 +96,12 @@ def normalize_collection(
 
 
 def fiber_collection(g: PosetMap) -> tuple[frozenset[NodeId], ...]:
-    """Fibers of g with at least two elements, sorted by least member."""
+    """Fibers of g with at least two elements, sorted by least member.
+
+    An injective g has none, which one set of its values shows.
+    """
+    if len(set(g.assignment.values())) == len(g.assignment):
+        return ()
     fibers: dict[NodeId, set[NodeId]] = {}
     for x, y in g.assignment.items():
         fibers.setdefault(y, set()).add(x)
@@ -244,7 +249,8 @@ def verify_gluing(
     collapsed pair lies in a common merged member), then rebuilds the
     canonical quotient and requires the comparison map to be an isomorphism:
     the fibers must agree and the images of the canonical covers must be
-    exactly Y's covers.
+    exactly Y's covers. g's fibers are collected once and read by both the
+    pointwise check and the comparison.
     """
     if not isinstance(g, PosetMap):
         g = PosetMap(X, Y, g)
@@ -269,7 +275,8 @@ def verify_gluing(
     for C in members:
         for x in C:
             member_of[x] = C
-    for C in fiber_collection(g):
+    fibers = fiber_collection(g)
+    for C in fibers:
         xs = sorted(C)
         for x in xs[1:]:
             if member_of.get(xs[0]) is None or member_of.get(x) is not member_of.get(xs[0]):
@@ -284,7 +291,7 @@ def verify_gluing(
     except NotComplete as exc:
         return GluingReport(False, f"no gluing exists along this collection: {exc}")
 
-    if fiber_collection(canonical.map) != fiber_collection(g):
+    if fiber_collection(canonical.map) != fibers:
         return GluingReport(False, "fibers differ from the canonical quotient's")
     # with equal fibers, phi: class of x -> g(x) is a well-defined bijection
     # onto Y (g is surjective), and order-preserving because g is; so it is an

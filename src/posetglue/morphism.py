@@ -5,6 +5,13 @@ a ``*_violation`` function returning a concrete witness (or None), so failed
 certificates can say which pair broke; the ``is_*`` predicates delegate to
 those. The verifiers read the posets' up-sets and the assignment directly:
 a ``PosetMap`` has already checked every id it holds.
+
+Set algebra decides, scans name witnesses. ``PosetMap`` totality, the
+embedding test and the saturated-subset test first answer "no violation"
+with whole-set operations (key-view comparison, up-set intersections and
+differences), which run in C and are exact: each accepts exactly the inputs
+the per-node scan accepts. Only when that answer is no does the per-node scan
+run, so every witness, exception and message is the scan's.
 """
 
 from __future__ import annotations
@@ -25,16 +32,19 @@ class PosetMap:
     assignment: Mapping[NodeId, NodeId]
 
     def __post_init__(self):
-        missing = [x for x in self.source.nodes if x not in self.assignment]
-        if missing:
-            raise UnknownNode(f"assignment not total; missing {missing[:3]!r}")
-        extra = [x for x in self.assignment if x not in self.source]
-        if extra:
-            raise UnknownNode(f"assignment defined off the source: {extra[:3]!r}")
-        bad = [y for y in self.assignment.values() if y not in self.target]
-        if bad:
+        assignment = self.assignment
+        if assignment.keys() != self.source._up.keys() or not self.target._up.keys() >= set(
+            assignment.values()
+        ):
+            missing = [x for x in self.source.nodes if x not in assignment]
+            if missing:
+                raise UnknownNode(f"assignment not total; missing {missing[:3]!r}")
+            extra = [x for x in assignment if x not in self.source]
+            if extra:
+                raise UnknownNode(f"assignment defined off the source: {extra[:3]!r}")
+            bad = [y for y in assignment.values() if y not in self.target]
             raise UnknownNode(f"assignment lands outside the target: {bad[:3]!r}")
-        object.__setattr__(self, "assignment", dict(self.assignment))
+        object.__setattr__(self, "assignment", dict(assignment))
 
     def __call__(self, x: NodeId) -> NodeId:
         return self.assignment[x]
@@ -92,6 +102,15 @@ def embedding_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
     if not is_poset_map(f):
         raise NotPosetMap(f"not a poset map: cover {poset_map_violation(f)!r} collapses order")
     nodes, source_up, target_up, g = f.source.nodes, f.source._up, f.target._up, f.assignment
+    # An injective poset map sends up(x) into up(g x) & image; it reflects
+    # order iff nothing else lands there, i.e. iff the sizes match. A shared
+    # up-set object (the sections elevate and retract build) matches at once.
+    image = frozenset(g.values())
+    if len(image) == len(nodes) and all(
+        target_up[g[x]] is source_up[x] or len(target_up[g[x]] & image) == len(source_up[x])
+        for x in nodes
+    ):
+        return None
     for x in nodes:
         image_up, x_up = target_up[g[x]], source_up[x]
         bad = [y for y in nodes if g[y] in image_up and y not in x_up]
@@ -131,6 +150,13 @@ def saturated_subset_violation(P: Poset, Z: Iterable[NodeId]) -> Optional[tuple[
         if x not in P:
             raise UnknownNode(f"unknown node {x!r}")
     up = P._up
+    # Z is saturated iff everything of Z above u lies above an upper cover of
+    # u in Z: then each minimal one is such a cover, and conversely.
+    upper = P._cover_lists(upper=True)
+    if all(
+        not (up[u] & Z).difference((u,), *(up[c] for c in upper[u] if c in Z)) for u in Z
+    ):
+        return None
     for u in sorted(Z):
         above = (up[u] & Z) - {u}
         for v in sorted(above):
@@ -146,54 +172,63 @@ def is_saturated_subset(P: Poset, Z: Iterable[NodeId]) -> bool:
     return saturated_subset_violation(P, Z) is None
 
 
-def _signature(P: Poset, x: NodeId) -> tuple[int, int, int]:
-    return (P.height(x), len(P.lower_covers(x)), len(P.upper_covers(x)))
+def _signatures(P: Poset) -> dict[NodeId, tuple[int, int, int]]:
+    """(height, lower-cover count, upper-cover count) of every node."""
+    heights = P._height_table()
+    below, above = P._cover_lists(upper=False), P._cover_lists(upper=True)
+    return {x: (heights[x], len(below[x]), len(above[x])) for x in P.nodes}
 
 
 def find_isomorphism(P: Poset, Q: Poset) -> Optional[PosetMap]:
     """An order isomorphism P -> Q, or None; deterministic for fixed inputs.
 
     Backtracking over (height, in-degree, out-degree)-compatible assignments;
-    fine for desk-scale posets.
+    fine for desk-scale posets. Depth-first with an explicit stack of
+    candidate iterators, one per assigned node, so long chains cannot hit the
+    recursion limit.
     """
     if len(P.nodes) != len(Q.nodes) or len(P.covers) != len(Q.covers):
         return None
     if not P.nodes:
         return PosetMap(P, Q, {})
-    sig_p = {x: _signature(P, x) for x in P.nodes}
+    sig_p = _signatures(P)
     sig_q: dict[tuple[int, int, int], list[NodeId]] = {}
-    for y in Q.nodes:
-        sig_q.setdefault(_signature(Q, y), []).append(y)
+    for y, sig in _signatures(Q).items():
+        sig_q.setdefault(sig, []).append(y)
     if sorted(sig_p.values()) != sorted(
         s for s, ys in sig_q.items() for _ in ys
     ):
         return None
 
     order = sorted(P.nodes, key=lambda x: (sig_p[x], x))
+    up_p, up_q = P._up, Q._up
     assigned: dict[NodeId, NodeId] = {}
     used: set[NodeId] = set()
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
+    def candidates(x: NodeId):
+        # read lazily: when a deeper level gives up, `assigned` and `used`
+        # are back to what they were when this level began
         for y in sig_q.get(sig_p[x], []):
             if y in used:
                 continue
-            ok = all(
-                P.leq(x, x2) == Q.leq(y, y2) and P.leq(x2, x) == Q.leq(y2, y)
+            if all(
+                (x2 in up_p[x]) == (y2 in up_q[y]) and (x in up_p[x2]) == (y in up_q[y2])
                 for x2, y2 in assigned.items()
-            )
-            if not ok:
-                continue
-            assigned[x] = y
-            used.add(y)
-            if extend(i + 1):
-                return True
-            del assigned[x]
-            used.remove(y)
-        return False
+            ):
+                yield y
 
-    if extend(0):
-        return PosetMap(P, Q, dict(assigned))
+    pending = [candidates(order[0])]
+    while pending:
+        x = order[len(pending) - 1]
+        if x in assigned:
+            used.remove(assigned.pop(x))
+        y = next(pending[-1], None)
+        if y is None:
+            pending.pop()
+            continue
+        assigned[x] = y
+        used.add(y)
+        if len(pending) == len(order):
+            return PosetMap(P, Q, dict(assigned))
+        pending.append(candidates(order[len(pending)]))
     return None

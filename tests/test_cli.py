@@ -180,6 +180,25 @@ class TestDecomposeReplay:
         code, _ = run(capsys, "replay", str(bad))
         assert code == 1
 
+    @pytest.mark.parametrize("tamper", ["outside the final poset", "missing key", "extra key"])
+    def test_tampered_embedding_fails_verification(self, capsys, tmp_path, tamper):
+        obj = json.loads((GOLDEN / "x9.script").read_text())
+        embedding = obj["embedding"]
+        if tamper == "outside the final poset":
+            embedding["1"] = "no-such-node"
+        elif tamper == "missing key":
+            del embedding["1"]
+        else:
+            embedding["no-such-source-node"] = embedding["1"]
+        bad = tmp_path / "bad.script"
+        bad.write_text(json.dumps(obj))
+        code = main(["replay", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: ")
+        assert captured.err.count("\n") == 1
+
     def test_stdin_stdout_pipe(self):
         decompose = subprocess.run(
             [sys.executable, "-m", "posetglue.cli", "decompose", fx("x9.poset")],

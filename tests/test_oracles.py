@@ -21,11 +21,18 @@ loops of checked ``leq`` calls they replaced.
 ``elevate`` and ``retract`` derive their result from their input's up-sets
 (``core._elevated`` and ``core._retracted``); they are checked against
 ``build`` and ``glue_along_complete``, which they replaced.
+
+The embedding test, the saturated-subset test and ``PosetMap``'s totality
+check decide by set algebra and scan only to name a fault; each is checked
+against its per-node scan, kept here as an oracle, down to the witness and
+the exception message. ``find_isomorphism`` backtracks with an explicit
+stack and is checked against the recursive search it replaced.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -44,7 +51,9 @@ from posetglue import (
     compose,
     elevate,
     embedding_violation,
+    find_isomorphism,
     identity_map,
+    is_saturated_subset,
     poset_map_violation,
     retract,
     saturated_subset_violation,
@@ -564,3 +573,227 @@ def test_local_elevation_and_retraction_equal_build_and_the_gluing(small_posets)
                 assert_retract_equals_the_gluing(X, z)
                 retractions += 1
     assert (elevations, retractions) == (3534, 296)
+
+
+def scan_poset_map_fault(source, target, assignment):
+    """The three ``PosetMap`` scans, in their order: the exception each
+    raises as (type, message), or None."""
+    missing = [x for x in source.nodes if x not in assignment]
+    if missing:
+        return UnknownNode, f"assignment not total; missing {missing[:3]!r}"
+    extra = [x for x in assignment if x not in source]
+    if extra:
+        return UnknownNode, f"assignment defined off the source: {extra[:3]!r}"
+    bad = [y for y in assignment.values() if y not in target]
+    if bad:
+        return UnknownNode, f"assignment lands outside the target: {bad[:3]!r}"
+    return None
+
+
+def scan_embedding_violation(f):
+    """The per-node embedding scan: NotPosetMap first, then the first x with
+    some y above it in the image but not in the source."""
+    pair = loop_poset_map_violation(f)
+    if pair is not None:
+        raise NotPosetMap(f"not a poset map: cover {pair!r} collapses order")
+    return loop_embedding_violation(f)
+
+
+def scan_saturated_subset_violation(P, Z):
+    """The per-node saturated-subset scan, unknown ids rejected first."""
+    Z = frozenset(Z)
+    for x in Z:
+        if x not in P:
+            raise UnknownNode(f"unknown node {x!r}")
+    return loop_saturated_subset_violation(P, Z)
+
+
+def verdict(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def verdict_kind(got):
+    """None, "pair", or the exception type of a verdict."""
+    if got is None:
+        return None
+    return got[0] if isinstance(got[0], type) else "pair"
+
+
+def section_maps(P):
+    """The identity on P, the e and r maps of every elevation of P (by one
+    and by two), of every retraction of P and of each elevation's retraction
+    (whose section shares up-sets), and the inclusions of P into two
+    paddings."""
+    yield identity_map(P)
+    for p in sorted(P.min_nodes()):
+        for n in (1, 2):
+            w = elevate(P, p, n)
+            back = retract(w.Z, p)
+            yield from (w.e, w.r, back.e, back.r)
+    for z in P.nodes:
+        if retractable(P, z):
+            w = retract(P, z)
+            yield from (w.e, w.r)
+    for options in (WrapOptions(), WrapOptions(True, True, 2, 0)):
+        yield wrap(P, options)[1]
+
+
+def seeded_maps(rng):
+    """Arbitrary and injective maps into seeded 8- to 16-node targets, and
+    the inclusions of induced subposets, with and without some covers."""
+    for seed in range(40):
+        T = random_poset(seed, rng.randint(8, 16), rng.choice((0.2, 0.35, 0.5)))
+        targets = list(T.nodes)
+        P = random_poset(seed, rng.randint(1, 6), 0.4)
+        yield PosetMap(P, T, {x: rng.choice(targets) for x in P.nodes})
+        yield PosetMap(P, T, dict(zip(P.nodes, rng.sample(targets, len(P)))))
+        S = sorted(rng.sample(targets, rng.randint(1, len(targets))))
+        sub = T.induced(S)
+        yield PosetMap(sub, T, {x: x for x in S})
+        weaker = build(S, [c for c in sorted(sub.covers) if rng.random() < 0.6])
+        yield PosetMap(weaker, T, {x: x for x in S})
+
+
+def malformed_assignments(f, rng):
+    """f's assignment, then with a node missing, an extra key, and a value
+    outside the target."""
+    g = dict(f.assignment)
+    yield g
+    if g:
+        x = rng.choice(sorted(g))
+        yield {k: v for k, v in g.items() if k != x}
+        yield {**g, "no-such-source-node": g[x]}
+        yield {**g, x: "no-such-target-node"}
+
+
+def test_set_algebra_verifiers_return_the_scan_verdicts(small_posets):
+    rng = random.Random(8)
+    maps = [f for P in small_posets for f in section_maps(P)] + list(seeded_maps(rng))
+    kinds = set()
+    for f in maps:
+        got = verdict(embedding_violation, f)
+        assert got == verdict(scan_embedding_violation, f)
+        kinds.add(("embedding", verdict_kind(got)))
+        image = f.image()
+        subsets = [image, frozenset(f.target.nodes), image | {"no-such-node"}]
+        subsets.append(frozenset(rng.sample(f.target.nodes, rng.randint(1, len(f.target)))))
+        for Z in subsets:
+            got = verdict(saturated_subset_violation, f.target, Z)
+            assert got == verdict(scan_saturated_subset_violation, f.target, Z)
+            kinds.add(("subset", verdict_kind(got)))
+        for assignment in malformed_assignments(f, rng):
+            got = verdict(PosetMap, f.source, f.target, assignment)
+            fault = scan_poset_map_fault(f.source, f.target, assignment)
+            if fault is None:
+                assert got.assignment == assignment
+                kinds.add(("map", None))
+            else:
+                assert got == fault
+                kinds.add(("map", fault[1].split(";")[0].split(":")[0]))
+    assert kinds == {
+        ("embedding", None),
+        ("embedding", "pair"),
+        ("embedding", NotPosetMap),
+        ("subset", None),
+        ("subset", "pair"),
+        ("subset", UnknownNode),
+        ("map", None),
+        ("map", "assignment not total"),
+        ("map", "assignment defined off the source"),
+        ("map", "assignment lands outside the target"),
+    }
+
+
+def recursive_find_isomorphism(P, Q):
+    """find_isomorphism as it was: one recursive call per assigned node, and
+    signatures read from per-node cover scans."""
+
+    def signature(R, x):
+        return (R.height(x), len(R.lower_covers(x)), len(R.upper_covers(x)))
+
+    if len(P.nodes) != len(Q.nodes) or len(P.covers) != len(Q.covers):
+        return None
+    if not P.nodes:
+        return PosetMap(P, Q, {})
+    sig_p = {x: signature(P, x) for x in P.nodes}
+    sig_q = {}
+    for y in Q.nodes:
+        sig_q.setdefault(signature(Q, y), []).append(y)
+    if sorted(sig_p.values()) != sorted(s for s, ys in sig_q.items() for _ in ys):
+        return None
+    order = sorted(P.nodes, key=lambda x: (sig_p[x], x))
+    assigned, used = {}, set()
+
+    def extend(i):
+        if i == len(order):
+            return True
+        x = order[i]
+        for y in sig_q.get(sig_p[x], []):
+            if y in used:
+                continue
+            if not all(
+                P.leq(x, x2) == Q.leq(y, y2) and P.leq(x2, x) == Q.leq(y2, y)
+                for x2, y2 in assigned.items()
+            ):
+                continue
+            assigned[x] = y
+            used.add(y)
+            if extend(i + 1):
+                return True
+            del assigned[x]
+            used.remove(y)
+        return False
+
+    return PosetMap(P, Q, dict(assigned)) if extend(0) else None
+
+
+def relabeled(P, rng):
+    ids = [f"v{i}" for i in range(len(P))]
+    rng.shuffle(ids)
+    name = dict(zip(P.nodes, ids))
+    return build(ids, [(name[a], name[b]) for a, b in P.covers])
+
+
+def test_iterative_find_isomorphism_returns_the_recursive_map(small_posets, monkeypatch):
+    import posetglue.generate as generate
+
+    calls = {"found": 0, "none": 0}
+
+    def both(P, Q):
+        got = find_isomorphism(P, Q)
+        assert got == recursive_find_isomorphism(P, Q)
+        calls["none" if got is None else "found"] += 1
+        return got
+
+    # the enumerator compares every pair in an invariant bucket; with the
+    # recursive search it must give the same classes in the same order
+    monkeypatch.setattr(generate, "find_isomorphism", both)
+    for n in range(1, 7):
+        assert generate.all_posets_upto_iso(n) == [P for P in small_posets if len(P) == n]
+    assert calls == {"found": 4826, "none": 538}
+    rng = random.Random(9)
+    for P in list(small_posets) + [random_poset(s, 16, 0.25) for s in range(20)]:
+        Q = relabeled(P, rng)
+        both(P, Q)
+        both(P, P)
+
+
+def test_saturated_subset_of_a_long_chain_is_fast():
+    P, ids = chain_poset(2000)
+    start = time.perf_counter()
+    assert is_saturated_subset(P, ids)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_find_isomorphism_of_a_long_chain_needs_no_recursion():
+    P, ids = chain_poset(1500)
+    rng = random.Random(10)
+    Q = relabeled(P, rng)
+    start = time.perf_counter()
+    f = find_isomorphism(P, Q)
+    assert time.perf_counter() - start < 10.0
+    assert all((f(a), f(b)) in Q.covers for a, b in P.covers)
