@@ -27,12 +27,18 @@ check decide by set algebra and scan only to name a fault; each is checked
 against its per-node scan, kept here as an oracle, down to the witness and
 the exception message. ``find_isomorphism`` backtracks with an explicit
 stack and is checked against the recursive search it replaced.
+
+``all_posets_upto_iso`` generates each class's least-mask natural labelling
+directly; it is checked against the scan of all 2^C(n,2) relations it
+replaced, kept here as an oracle, and by brute force over every linear
+extension.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -41,6 +47,7 @@ from posetglue import (
     CycleDetected,
     GluingReport,
     GluingWitness,
+    InputError,
     NotComplete,
     NotPosetMap,
     PosetMap,
@@ -68,7 +75,7 @@ from posetglue.gluing import (
     glue_along_complete,
     normalize_collection,
 )
-from posetglue.generate import random_poset
+from posetglue.generate import _as_poset, _closed_relations, all_posets_upto_iso, random_poset
 
 from conftest import benchmark_inputs, diamond_ladder
 
@@ -758,9 +765,7 @@ def relabeled(P, rng):
     return build(ids, [(name[a], name[b]) for a, b in P.covers])
 
 
-def test_iterative_find_isomorphism_returns_the_recursive_map(small_posets, monkeypatch):
-    import posetglue.generate as generate
-
+def test_iterative_find_isomorphism_returns_the_recursive_map(small_posets):
     calls = {"found": 0, "none": 0}
 
     def both(P, Q):
@@ -769,17 +774,85 @@ def test_iterative_find_isomorphism_returns_the_recursive_map(small_posets, monk
         calls["none" if got is None else "found"] += 1
         return got
 
-    # the enumerator compares every pair in an invariant bucket; with the
+    # the scan compares every pair in an invariant bucket; with the
     # recursive search it must give the same classes in the same order
-    monkeypatch.setattr(generate, "find_isomorphism", both)
     for n in range(1, 7):
-        assert generate.all_posets_upto_iso(n) == [P for P in small_posets if len(P) == n]
+        assert scanned_posets_upto_iso(n, both) == [P for P in small_posets if len(P) == n]
     assert calls == {"found": 4826, "none": 538}
     rng = random.Random(9)
     for P in list(small_posets) + [random_poset(s, 16, 0.25) for s in range(20)]:
         Q = relabeled(P, rng)
         both(P, Q)
         both(P, P)
+
+
+def scanned_posets_upto_iso(n, isomorphism):
+    """all_posets_upto_iso as it was: scan every transitive relation inside
+    the natural order in mask order, and keep each one that ``isomorphism``
+    matches to no kept poset in its invariant bucket."""
+    if n == 0:
+        return []
+    buckets = {}
+    out = []
+    for rel in _closed_relations(n):
+        P = _as_poset(n, rel)
+        key = (
+            len(P.covers),
+            tuple(sorted((P.height(x), len(P.lower_covers(x)), len(P.upper_covers(x))) for x in P.nodes)),
+        )
+        bucket = buckets.setdefault(key, [])
+        if any(isomorphism(P, Q) is not None for Q in bucket):
+            continue
+        bucket.append(P)
+        out.append(P)
+    return out
+
+
+def labelling_mask(P, label):
+    """Mask of P's relation under ``label`` (node -> 0..n-1): bit k is set
+    when the k-th pair of combinations(range(n), 2) is related."""
+    index = {pair: k for k, pair in enumerate(combinations(range(len(P)), 2))}
+    return sum(1 << index[label[a], label[b]] for a in P.nodes for b in P.nodes if P.lt(a, b))
+
+
+def test_orderly_enumerator_returns_the_scan():
+    for n in range(0, 7):
+        # Poset equality compares nodes and covers
+        assert all_posets_upto_iso(n) == scanned_posets_upto_iso(n, find_isomorphism)
+
+
+def test_every_representative_is_its_least_linear_extension(small_posets):
+    for P in small_posets:
+        identity = {x: int(x) for x in P.nodes}
+        relation = [(a, b) for a in P.nodes for b in P.nodes if P.lt(a, b)]
+        least = min(
+            labelling_mask(P, label)
+            for perm in permutations(range(len(P)))
+            for label in [dict(zip(P.nodes, perm))]
+            if all(label[a] < label[b] for a, b in relation)
+        )
+        assert labelling_mask(P, identity) == least
+
+
+def test_seven_node_classes_are_fast_distinct_and_naturally_labelled():
+    start = time.perf_counter()
+    reps = all_posets_upto_iso(7)
+    assert time.perf_counter() - start < 5.0
+    assert len(reps) == 2045
+    buckets = {}
+    for P in reps:
+        assert P.nodes == tuple(str(i) for i in range(7))
+        assert all(int(a) < int(b) for a, b in P.covers)
+        key = tuple(sorted((P.height(x), len(P.lower_covers(x)), len(P.upper_covers(x))) for x in P.nodes))
+        bucket = buckets.setdefault(key, [])
+        assert all(find_isomorphism(P, Q) is None for Q in bucket)
+        bucket.append(P)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.5, "3", None])
+def test_enumerator_rejects_a_non_integer_node_count(n):
+    with pytest.raises(InputError, match="integer"):
+        all_posets_upto_iso(n)
 
 
 def test_saturated_subset_of_a_long_chain_is_fast():
