@@ -4,11 +4,15 @@
 Usage: python scripts/sweep_small_posets.py [N]
 
 Enumerates every poset up to isomorphism, decomposes each to a point,
-replays the script, and verifies the certificate. N defaults to 6 (405
-posets, about 1 s); N=7 covers 2450 posets in about 11 s, of which 0.4 s
-is enumeration and the rest decompose and replay; N=8 covers 19449 posets
-(enumeration about 6 s). Timings are Python 3.11 on one core of a shared
-2-core machine.
+replays the script, and verifies the certificate. N, a positive integer,
+defaults to 6 (405 posets, about 1 s); N=7 covers 2450 posets in about
+5 s, of which 0.2 s is enumeration and the rest decompose and replay; N=8
+covers 19449 posets in about 52 s (enumeration about 3 s). Each level is
+enumerated once. Timings are Python 3.11 on one core of a shared 2-core
+machine.
+
+Exit status: 0 when every certificate verifies, 1 when one fails, 2 on a
+bad argument (one usage line on stderr).
 """
 
 from __future__ import annotations
@@ -20,9 +24,16 @@ from posetglue import PosetMap, decompose_to_point, is_saturated_embedding, repl
 from posetglue.generate import all_posets_upto_iso
 
 
+USAGE = "usage: sweep_small_posets.py [N]  (N a positive integer, default 6)"
+
+
 def main() -> int:
-    """Exit status 0 when every certificate verifies, 1 otherwise."""
-    n_max = int(sys.argv[1]) if len(sys.argv) > 1 else 6
+    """Exit status 0 when every certificate verifies, 1 otherwise, 2 on a bad argument."""
+    args = sys.argv[1:]
+    if len(args) > 1 or (args and not (args[0].isdecimal() and int(args[0]) >= 1)):
+        print(USAGE, file=sys.stderr)
+        return 2
+    n_max = int(args[0]) if args else 6
     grand_total = 0
     failed = 0
     start = time.perf_counter()

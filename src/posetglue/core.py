@@ -5,9 +5,11 @@ relation; the full order is kept as precomputed up-sets only. Down-sets are
 computed per call from the up-sets, and linear extensions come from
 up-set sizes (``a < b`` implies ``|up(a)| > |up(b)|``), so no topological sort
 is stored or repeated. Values are created only here, by ``build`` or by the two
-local constructors ``_elevated`` and ``_retracted``; they are immutable and
-safe to share, so those two reuse their input's up-set objects instead of
-re-closing the order. Every operation here is a pure function of its inputs.
+local constructors ``_elevated`` (fresh minima under a minimal node) and
+``_glued`` (disjoint down-sets collapsed to points, which covers retractions
+and height-zero gluings); they are immutable and safe to share, so those two
+reuse their input's up-set objects instead of re-closing the order. Every
+operation here is a pure function of its inputs.
 All iteration is over sorted ids so results are reproducible byte-for-byte.
 """
 
@@ -27,12 +29,12 @@ class Poset:
 
     Do not instantiate directly; go through :func:`build`, which validates,
     closes, and reduces the input relation, or one of the two local
-    constructors ``_elevated`` and ``_retracted``, which derive an elevation's
-    or a retraction's result from its input. ``_up`` maps each node to its
-    up-set (the node included); it is the only stored form of the order, and
-    internal callers read it directly once their ids are known to be valid.
-    Up-set values may be shared between posets. Heights, depths, minima and
-    maxima are computed on first use and cached.
+    constructors ``_elevated`` and ``_glued``, which derive an elevation's
+    result or a quotient along down-sets from its input. ``_up`` maps each
+    node to its up-set (the node included); it is the only stored form of
+    the order, and internal callers read it directly once their ids are
+    known to be valid. Up-set values may be shared between posets. Heights,
+    depths, minima and maxima are computed on first use and cached.
     """
 
     __slots__ = ("nodes", "covers", "_up", "_heights", "_depths", "_min", "_max")
@@ -314,22 +316,34 @@ def _elevated(X: Poset, p: NodeId, fresh_ids: Sequence[NodeId]) -> Poset:
     )
 
 
-def _retracted(Z: Poset, z: NodeId, down: frozenset[NodeId]) -> Poset:
-    """Z with the down-set of z collapsed to its least id c.
+def _glued(X: Poset, members: Sequence[frozenset[NodeId]]) -> Poset:
+    """X with each member collapsed to its least id.
 
-    The caller has checked that down is the down-set of z and that z is the
-    only cover of every other node in it. No up-set of a node outside down
-    meets down, so those are reused as they are; c gets z's up-set with z
-    renamed. The covers are Z's covers that end outside down, with z renamed.
+    The caller has checked that the members are disjoint down-sets of X. No
+    node outside them has a member in its up-set, so its up-set object and
+    its covers carry over unchanged. No cover enters a member from outside,
+    so the class c of member C gets ``{c} | up(b)`` over the covers (a, b)
+    that leave C, and its upper covers are the least such b.
     """
-    c = min(down)
-    up = {x: u for x, u in Z._up.items() if x not in down}
-    up[c] = (Z._up[z] - {z}) | {c}
-    return Poset(
-        tuple(sorted(up)),
-        frozenset((c if a == z else a, b) for a, b in Z.covers if b not in down),
-        up,
-    )
+    member_of = {x: i for i, C in enumerate(members) for x in C}
+    up = {x: u for x, u in X._up.items() if x not in member_of}
+    covers = set()
+    leaving: list[set[NodeId]] = [set() for _ in members]
+    for a, b in X.covers:
+        i = member_of.get(a)
+        if i is None:
+            covers.add((a, b))
+        elif b not in member_of:
+            leaving[i].add(b)
+    for C, exits in zip(members, leaving):
+        c = min(C)
+        above: set[NodeId] = set()
+        for b in exits:
+            above |= (X._up[b] & exits) - {b}
+        least = exits - above
+        up[c] = frozenset({c}).union(*(X._up[b] for b in least))
+        covers.update((c, b) for b in least)
+    return Poset(tuple(sorted(up)), frozenset(covers), up)
 
 
 def is_chain_in(P: Poset, seq: Chain) -> bool:

@@ -11,6 +11,7 @@ independent books on the class count.
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations, permutations
 
@@ -143,21 +144,30 @@ def all_posets_upto_iso(n: int) -> list[Poset]:
         raise InputError("n must be nonnegative")
     if n == 0:
         return []
-    level: list[tuple[int, ...]] = [(0,)]
-    for _ in range(1, n):
-        candidates = []
-        for rep in level:
-            shifted = tuple(u << 1 for u in rep)
-            for subset in _up_closed_subsets(rep):
-                up = (subset << 1,) + shifted
-                if not _has_smaller_labelling(up):
-                    candidates.append(up)
-        # rows from label n-1 down are the mask's fields, most significant first
-        level = sorted(candidates, key=lambda up: up[::-1])
     return [
         _as_poset(n, frozenset((i, j) for i in range(n) for j in range(n) if up[i] >> j & 1))
-        for up in level
+        for up in _level_rows(n)
     ]
+
+
+@functools.cache
+def _level_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The up-set rows of level n's least-mask labellings, in mask order.
+
+    Cached as plain integers, so a caller that loops over n computes each
+    level once, and every call still gets fresh ``Poset`` values.
+    """
+    if n == 1:
+        return ((0,),)
+    candidates = []
+    for rep in _level_rows(n - 1):
+        shifted = tuple(u << 1 for u in rep)
+        for subset in _up_closed_subsets(rep):
+            up = (subset << 1,) + shifted
+            if not _has_smaller_labelling(up):
+                candidates.append(up)
+    # rows from label n-1 down are the mask's fields, most significant first
+    return tuple(sorted(candidates, key=lambda up: up[::-1]))
 
 
 def count_closed_relations(n: int) -> int:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import morphism
 from .chains import _split_by_rank
-from .core import NodeId, Poset, _elevated, _retracted, build
+from .core import NodeId, Poset, _elevated, _glued, build
 from .errors import (
     BrokenEmbedding,
     EmptyPoset,
@@ -82,11 +82,11 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
     z must have height one and be the only cover of everything below it.
     The collapsed class keeps the least id c in the down-set, as
     ``glue_along_complete`` names it, but X is derived from Z directly
-    (``core._retracted``): it shares Z's up-set objects outside the down-set,
-    so making X takes time linear in the size of Z instead of a re-closure of
-    the order. The section e sends each surviving node to its unique preimage
-    and c to z. ``validate`` still checks the result against the canonical
-    gluing in full.
+    (``core._glued`` on the one down-set): it shares Z's up-set objects
+    outside the down-set, so making X takes time linear in the size of Z
+    instead of a re-closure of the order. The section e sends each surviving
+    node to its unique preimage and c to z. ``validate`` still checks the
+    result against the canonical gluing in full.
     """
     Z._check_node(z)
     if Z.height(z) != 1:
@@ -97,7 +97,7 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
             raise NotUniqueCover(
                 f"{w!r} below {z!r} has covers {sorted(Z.upper_covers(w))!r}", node=w
             )
-    X = _retracted(Z, z, down)
+    X = _glued(Z, (down,))
     c = min(down)
     r = PosetMap(Z, X, {w: c if w in down else w for w in Z.nodes})
     # every node outside the down-set is alone in its fiber

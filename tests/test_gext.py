@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from itertools import product
 
@@ -13,6 +14,7 @@ from posetglue import (
     ConstructionScript,
     ElevateStep,
     ElevationWitness,
+    GlueStep,
     InputError,
     NotHeightOne,
     NotMinimal,
@@ -38,7 +40,7 @@ from posetglue import (
     verify_gluing,
     wrap,
 )
-from posetglue import chains
+from posetglue import chains, core
 from posetglue.core import Poset
 from posetglue.documents import emit_script, parse_script
 from posetglue.gluing import fiber_collection, is_height_zero_gluing
@@ -417,6 +419,46 @@ class TestPolynomialSplit:
         start = time.perf_counter()
         certify(X)
         assert time.perf_counter() - start < 10.0
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """A list that grows by one per ``core.build`` call, counted through
+    every posetglue module that binds it."""
+    calls = []
+    real = core.build
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "posetglue" and getattr(module, "build", None) is real:
+            monkeypatch.setattr(module, "build", counted)
+    return calls
+
+
+class TestLocalQuotients:
+    """Retractions and height-zero gluings are quotients along down-sets,
+    which ``core._glued`` derives without ``build``, so certifying a chain
+    builds only the padded input and the one-point start."""
+
+    def test_certifying_a_chain_builds_twice_and_replaying_it_never(self, build_calls):
+        X = random_poset(1, 60, 1.0)
+        build_calls.clear()
+        script = decompose_to_point(X)
+        # the padded input and the one-point start
+        assert len(build_calls) == 2
+        build_calls.clear()
+        replay(script)
+        assert build_calls == []
+
+    def test_replaying_x9_never_builds(self, x9, build_calls):
+        script = decompose_to_point(x9)
+        assert any(isinstance(step, GlueStep) for step in script.steps)
+        build_calls.clear()
+        replay(script)
+        assert build_calls == []
 
 
 class TestReplay:

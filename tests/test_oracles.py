@@ -7,10 +7,14 @@ covers off the successor sets. Each is compared with the construction it
 replaced, kept here as an oracle: the chain-sum gluing, the pairwise class
 relation, and ``networkx.transitive_reduction``.
 
-``glue_along_collection`` builds the quotient in one pass and
+``glue_along_collection`` makes the quotient in one pass and
 ``verify_gluing`` compares covers; both are checked against the stagewise
 fold they replaced (one ``glue_along_complete`` per member, composed maps,
-and an inverse comparison map), kept here as an oracle.
+and an inverse comparison map), kept here as an oracle, on collections that
+reach both of its paths. When every member is a down-set the quotient is
+derived from the source's up-sets (``core._glued``); on retraction down-sets,
+principal down-sets, the minima and partitions of them it is checked against
+``build`` on the image of the covers, which it replaced there.
 
 The order kernel is checked the same way: ``build`` against ``networkx``
 (above) and against a relation with a cycle past a DAG part, heights, depths and chain counts
@@ -19,8 +23,8 @@ definitions, and the up-set verifiers of ``morphism`` against the double
 loops of checked ``leq`` calls they replaced.
 
 ``elevate`` and ``retract`` derive their result from their input's up-sets
-(``core._elevated`` and ``core._retracted``); they are checked against
-``build`` and ``glue_along_complete``, which they replaced.
+(``core._elevated``, and ``core._glued`` on the one down-set); they are
+checked against ``build`` and ``glue_along_complete``, which they replaced.
 
 The embedding test, the saturated-subset test and ``PosetMap``'s totality
 check decide by set algebra and scan only to name a fault; each is checked
@@ -31,7 +35,8 @@ stack and is checked against the recursive search it replaced.
 ``all_posets_upto_iso`` generates each class's least-mask natural labelling
 directly; it is checked against the scan of all 2^C(n,2) relations it
 replaced, kept here as an oracle, and by brute force over every linear
-extension.
+extension. Its levels are cached as integer rows, so a test counts that a
+level is generated once and that every call returns fresh values.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ from posetglue.gluing import (
     glue_along_complete,
     normalize_collection,
 )
+from posetglue import generate, gluing
 from posetglue.generate import _as_poset, _closed_relations, all_posets_upto_iso, random_poset
 
 from conftest import benchmark_inputs, diamond_ladder
@@ -482,15 +488,25 @@ def outcome_kind(result):
     return result[0].__name__
 
 
+def is_down_set(X, S):
+    return all(X.down_set(x) <= S for x in S)
+
+
 def test_one_pass_gluing_equals_the_stagewise_fold(small_posets):
     rng = random.Random(5)
     kinds = set()
+    paths = set()
     for X in gluing_posets(small_posets):
         for collection in seeded_collections(X, rng):
             got = outcome(glue_along_collection, X, collection)
             assert got == outcome(stagewise_glue, X, collection)
             kinds.add(outcome_kind(got))
+            if outcome_kind(got) == "glued":
+                local = all(is_down_set(X, C) for C in got[2])
+                paths.add("down-sets" if local else "build")
     assert kinds == {"glued", "UnknownNode", "in the source", "at its stage"}
+    # the glued collections reach both the local quotient and build
+    assert paths == {"down-sets", "build"}
 
 
 def bad_targets(Y, g, rng):
@@ -580,6 +596,55 @@ def test_local_elevation_and_retraction_equal_build_and_the_gluing(small_posets)
                 assert_retract_equals_the_gluing(X, z)
                 retractions += 1
     assert (elevations, retractions) == (3534, 296)
+
+
+def built_quotient(X, collection):
+    """The quotient as the one-pass gluing built it for every collection:
+    each node named by its member's least id, then ``build`` on the image of
+    X's covers."""
+    name_of = {x: x for x in X.nodes}
+    for C in normalize_collection(X, collection):
+        least = min(C)
+        for x in C:
+            name_of[x] = least
+    relation = {(name_of[a], name_of[b]) for a, b in X.covers if name_of[a] != name_of[b]}
+    return build(set(name_of.values()), relation), name_of
+
+
+def down_set_collections(X, rng):
+    """The down-set of every retractable node, alone and beside the other
+    minima; the down-set of every node; all minima as one member; and three
+    seeded partitions of the minima."""
+    mins = sorted(X.min_nodes())
+    for z in X.nodes:
+        if retractable(X, z):
+            yield [X.down_set(z)]
+            yield [X.down_set(z), X.min_nodes() - X.down_set(z)]
+    for x in X.nodes:
+        yield [X.down_set(x)]
+    yield [mins]
+    for _ in range(3):
+        shuffled = rng.sample(mins, len(mins))
+        cuts = sorted(rng.sample(range(1, len(mins)), rng.randint(0, len(mins) - 1)))
+        yield [shuffled[i:j] for i, j in zip([0, *cuts], [*cuts, len(mins)])]
+
+
+def test_gluing_along_down_sets_equals_the_built_quotient(small_posets, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a gluing along down-sets called build")
+
+    rng = random.Random(11)
+    glued = 0
+    for X in elevation_posets(small_posets):
+        for collection in down_set_collections(X, rng):
+            Y, name_of = built_quotient(X, collection)
+            with monkeypatch.context() as patched:
+                patched.setattr(gluing, "build", refuse)
+                w = glue_along_collection(X, collection)
+            assert same_order(w.target, Y)
+            assert w.map.assignment == name_of
+            glued += 1
+    assert glued == 6643
 
 
 def scan_poset_map_fault(source, target, assignment):
@@ -835,6 +900,8 @@ def test_every_representative_is_its_least_linear_extension(small_posets):
 
 
 def test_seven_node_classes_are_fast_distinct_and_naturally_labelled():
+    # time the generation, not a lookup of levels an earlier test computed
+    generate._level_rows.cache_clear()
     start = time.perf_counter()
     reps = all_posets_upto_iso(7)
     assert time.perf_counter() - start < 5.0
@@ -847,6 +914,28 @@ def test_seven_node_classes_are_fast_distinct_and_naturally_labelled():
         bucket = buckets.setdefault(key, [])
         assert all(find_isomorphism(P, Q) is None for Q in bucket)
         bucket.append(P)
+
+
+def test_each_level_is_generated_once_and_returned_fresh(monkeypatch):
+    generate._level_rows.cache_clear()
+    seven = all_posets_upto_iso(7)
+    checked = []
+    real = generate._has_smaller_labelling
+    monkeypatch.setattr(
+        generate, "_has_smaller_labelling", lambda up: checked.append(up) or real(up)
+    )
+    eight = all_posets_upto_iso(8)
+    # only level 8's candidates: one per up-closed subset of each level-7 row
+    rows = generate._level_rows(7)
+    assert len(checked) == sum(len(generate._up_closed_subsets(up)) for up in rows)
+    assert all(len(up) == 8 for up in checked)
+    assert len(eight) == 16999
+    checked.clear()
+    assert all_posets_upto_iso(7) == seven and not checked
+    seven.clear()
+    eight.pop()
+    assert len(all_posets_upto_iso(7)) == 2045
+    assert len(all_posets_upto_iso(8)) == 16999
 
 
 @pytest.mark.parametrize("n", [True, False, 2.5, "3", None])

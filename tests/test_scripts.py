@@ -2,7 +2,8 @@
 
 They check with an explicit test, not ``assert``, so the check also runs
 under ``python -O``. Each test loads a script as a module and patches its
-check to fail.
+check to fail. A bad argument is exit 2, not the exit 1 of a failed
+certificate.
 """
 
 from __future__ import annotations
@@ -54,3 +55,12 @@ def test_demo_exits_one_and_names_the_poset_when_the_certificate_fails(monkeypat
     out, err = capsys.readouterr()
     assert "script written" not in out
     assert err.startswith("certificate failed: Poset(")
+
+
+@pytest.mark.parametrize("arg", ["x", "-3"])
+def test_sweep_exits_two_with_one_usage_line_on_a_bad_count(sweep, monkeypatch, capsys, arg):
+    monkeypatch.setattr(sys, "argv", ["sweep_small_posets.py", arg])
+    assert sweep.main() == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: ") and err.count("\n") == 1
