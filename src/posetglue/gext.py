@@ -6,9 +6,11 @@ inverse move, growing fresh minima under a minimal node. One G-extension
 step = split shared minima under a pivot until each copy has a unique cover,
 retract the pivot's down-set, and remember the height-zero gluing that undoes
 the splits. Iterating to dimension zero and reversing yields a construction
-script from a single point; replaying the script re-verifies every move and
-certifies that the original poset sits inside the reconstruction as a
-saturated subset.
+script from a single point. Steps are recipes (a target and fresh ids, or a
+partition); one step loop executes them, re-verifying every move, for both
+``replay`` and ``decompose_to_point``, which certifies its own script with it
+before returning. The certificate shows that the original poset sits inside
+the reconstruction as a saturated subset.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .gluing import (
     check_dim_min_preservation,
     fiber_collection,
     glue_along_collection,
-    is_height_zero_gluing,
     verify_gluing,
 )
 from .morphism import PosetMap, compose, identity_map, inclusion_map
@@ -192,7 +193,8 @@ def gextension_step(F1: Poset) -> GExtension:
     Pivot: the least height-one node on a maximal-length chain. While some
     minimal node under the pivot has another cover, split the least such node;
     the shared-minima count strictly drops each round. Then retract the
-    pivot's down-set.
+    pivot's down-set. Each split is checked on its own; the accumulated
+    gluing h is verified, renamed, when the script's glue step is executed.
     """
     if not F1.nodes:
         raise EmptyPoset("cannot extend the empty poset")
@@ -222,20 +224,11 @@ def gextension_step(F1: Poset) -> GExtension:
         if F.height(y) != 1 or not F.on_maximal_length_chain(y):
             raise InternalInvariantError("pivot left the maximal-length chains while splitting")
 
-    Z = F
-    witness = GluingWitness(Z, F1, h, fiber_collection(h))
-    if not is_height_zero_gluing(witness):
-        raise InternalInvariantError("accumulated gluing is not height zero")
-    report = verify_gluing(Z, F1, h, witness.collection)
-    if not report:
-        raise InternalInvariantError(f"accumulated map is not a gluing: {report.reason}")
-    check_dim_min_preservation(witness)
-
-    retraction = retract(Z, y)
+    retraction = retract(F, y)
     return GExtension(
         f1=F1,
         f2=retraction.X,
-        Z=Z,
+        Z=F,
         e=retraction.e,
         h=h,
         pivot=y,
@@ -259,11 +252,18 @@ def _eta(F: Poset) -> int:
     return sum(ways[x] for x, h in heights.items() if h == d)
 
 
-def _check_lex_decrease(before: Poset, after: Poset) -> None:
-    b = (before.dim(), _eta(before))
-    a = (after.dim(), _eta(after))
-    if not a < b:
-        raise InternalInvariantError(f"(dim, eta) failed to decrease: {b} -> {a}")
+def _dim_eta(F: Poset) -> tuple[int, int]:
+    return F.dim(), _eta(F)
+
+
+def _check_lex_decrease(before: tuple[int, int], after: Poset) -> tuple[int, int]:
+    """``after``'s (dim, eta), which must be below ``before``, the previous
+    poset's; callers carry it into the next step, so each poset's is computed
+    once."""
+    a = _dim_eta(after)
+    if not a < before:
+        raise InternalInvariantError(f"(dim, eta) failed to decrease: {before} -> {a}")
+    return a
 
 
 def reduce_dimension(F1: Poset) -> list[Poset]:
@@ -273,9 +273,10 @@ def reduce_dimension(F1: Poset) -> list[Poset]:
     if F1.dim() == 0:
         raise ZeroDimensional("poset has dimension zero")
     seq = [F1]
+    key = _dim_eta(F1)
     while seq[-1].dim() >= F1.dim():
         step = gextension_step(seq[-1])
-        _check_lex_decrease(seq[-1], step.f2)
+        key = _check_lex_decrease(key, step.f2)
         seq.append(step.f2)
     return seq
 
@@ -368,18 +369,12 @@ class ElevateStep:
     kind = "elevate"
     target: NodeId
     fresh_ids: tuple[NodeId, ...]
-    before: Optional[Poset] = None
-    after: Optional[Poset] = None
-    step_map: Optional[PosetMap] = None  # saturated inclusion before -> after
 
 
 @dataclass(frozen=True)
 class GlueStep:
     kind = "glue"
     partition: tuple[frozenset[NodeId], ...]
-    before: Optional[Poset] = None
-    after: Optional[Poset] = None
-    step_map: Optional[PosetMap] = None  # height-zero gluing map before -> after
 
 
 Step = ElevateStep | GlueStep
@@ -411,12 +406,16 @@ class ReplayReport:
 def decompose_to_point(
     X: Poset, options: Optional[WrapOptions] = None
 ) -> ConstructionScript:
-    """Tear X down to a point and record the forward rebuild.
+    """Tear X down to a point and certify the forward script.
 
     X is first padded to K (a single fresh maximum is always added so the
     terminal poset is a point), then G-extension steps run until dimension
-    zero. The reversed run becomes elevate/glue steps with canonical ids;
-    identity gluings are dropped.
+    zero. The reversed run is translated into elevate/glue recipes with
+    canonical ids, without building any poset; identity gluings are dropped.
+    The recipes are then executed by the step loop ``replay`` uses, which
+    re-verifies every move, and the result must be isomorphic to K under the
+    tracked ids and certify X's embedding. A failure there is a bug in this
+    function, not in X, so it raises InternalInvariantError.
     """
     if not X.nodes:
         raise EmptyPoset("cannot decompose the empty poset")
@@ -428,78 +427,63 @@ def decompose_to_point(
 
     backward: list[GExtension] = []
     current = K
+    key = _dim_eta(K)
     while current.dim() > 0:
         step = gextension_step(current)
-        _check_lex_decrease(current, step.f2)
+        key = _check_lex_decrease(key, step.f2)
         backward.append(step)
         current = step.f2
     if len(current.nodes) != 1:
         raise InternalInvariantError("terminal poset is not a point despite the fresh maximum")
 
-    # forward rebuild with canonical ids; sigma maps raw ids of the current
-    # backward-pass poset to ids of the forward replica. Each backward step
-    # is dropped once used, so the rebuild does not keep all of them alive.
+    # sigma maps raw ids of the current backward-pass poset to canonical ids;
+    # its values are the node set the forward run has reached. A glued part
+    # is named by its least id, as glue_along_collection names it. Each
+    # backward step is dropped once used, so they are not all kept alive.
     start = build(["p0"], [])
     sigma = {min(current.nodes): "p0"}
-    replica = start
     steps: list[Step] = []
     while backward:
         gx = backward.pop()
-        step_no = len(steps) + 1
         raw_fresh = sorted(gx.Z.down_set(gx.pivot) - {gx.pivot})
-        target = sigma[gx.retraction.r(gx.pivot)]
-        fresh = _fresh_ids(f"q{step_no}", len(raw_fresh), frozenset(replica.nodes))
-        witness = elevate(replica, target, len(raw_fresh), fresh_ids=fresh)
+        fresh = _fresh_ids(f"q{len(steps) + 1}", len(raw_fresh), frozenset(sigma.values()))
+        steps.append(ElevateStep(target=sigma[gx.retraction.r(gx.pivot)], fresh_ids=tuple(fresh)))
         sigma = {
             **{z_raw: sigma[x_raw] for x_raw, z_raw in gx.e.assignment.items()},
             **dict(zip(raw_fresh, fresh)),
         }
-        steps.append(
-            ElevateStep(
-                target=target,
-                fresh_ids=tuple(fresh),
-                before=replica,
-                after=witness.Z,
-                step_map=witness.e,
-            )
-        )
-        replica = witness.Z
-
         partition = tuple(
             sorted((frozenset(sigma[d] for d in part) for part in fiber_collection(gx.h)), key=min)
         )
         if partition:
-            gwitness = glue_along_collection(replica, partition)
-            sigma = {gx.h(v): gwitness.map(sigma[v]) for v in gx.Z.nodes}
-            steps.append(
-                GlueStep(
-                    partition=partition,
-                    before=replica,
-                    after=gwitness.target,
-                    step_map=gwitness.map,
-                )
-            )
-            replica = gwitness.target
-        else:
-            sigma = {gx.h(v): sigma[v] for v in gx.Z.nodes}
+            steps.append(GlueStep(partition=partition))
+        least = {y: min(part) for part in partition for y in part}
+        sigma = {gx.h(v): least.get(sigma[v], sigma[v]) for v in gx.Z.nodes}
 
+    try:
+        final, _ = _run_steps(start, steps)
+    except StepMismatch as exc:
+        raise InternalInvariantError(f"decompose's own script failed: {exc}") from exc
     if set(sigma) != set(K.nodes):
-        raise InternalInvariantError("forward rebuild lost track of the padded poset")
+        raise InternalInvariantError("forward run lost track of the padded poset")
     if (
-        frozenset(sigma.values()) != frozenset(replica.nodes)
-        or len(K.covers) != len(replica.covers)
-        or any((sigma[a], sigma[b]) not in replica.covers for a, b in K.covers)
+        frozenset(sigma.values()) != frozenset(final.nodes)
+        or len(K.covers) != len(final.covers)
+        or any((sigma[a], sigma[b]) not in final.covers for a, b in K.covers)
     ):
-        raise InternalInvariantError("forward rebuild is not isomorphic to the padded poset")
+        raise InternalInvariantError("forward run is not isomorphic to the padded poset")
 
     script = ConstructionScript(
         start=start,
         steps=tuple(steps),
-        final=replica,
+        final=final,
         embedding={x: sigma[x] for x in X.nodes},
         source=X,
     )
-    _verify_certificate(script, replica)
+    try:
+        _verify_certificate(script, final)
+    except BrokenEmbedding as exc:
+        raise InternalInvariantError(f"decompose's own certificate failed: {exc}") from exc
     return script
 
 
@@ -534,25 +518,18 @@ def _verify_certificate(script: ConstructionScript, final: Poset) -> None:
         raise BrokenEmbedding("embedded image is not saturated", pair=pair)
 
 
-def replay(script: ConstructionScript) -> tuple[Poset, ReplayReport]:
-    """Re-execute a script from its start poset, re-verifying every move.
-
-    Raises StepMismatch when a rebuilt poset differs from a recorded one or a
-    step's preconditions fail, BrokenEmbedding when the tracked embedding does
-    not certify.
-    """
+def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
+    """Execute the steps from start, verifying every move; the reached poset
+    and one report line per step. Raises StepMismatch when a step's
+    preconditions or its verification fail."""
     lines = []
-    current = script.start
-    for i, step in enumerate(script.steps, start=1):
-        if step.before is not None and step.before != current:
-            raise StepMismatch(f"step {i}: recorded input poset differs from the replayed one")
+    current = start
+    for i, step in enumerate(steps, start=1):
         if isinstance(step, ElevateStep):
             try:
                 witness = elevate(current, step.target, len(step.fresh_ids), step.fresh_ids)
             except InputError as exc:
                 raise StepMismatch(f"step {i}: elevate failed: {exc}") from exc
-            if step.step_map is not None and step.step_map != witness.e:
-                raise StepMismatch(f"step {i}: recorded step map differs from the replayed one")
             current = witness.Z
             lines.append(
                 f"step {i}: elevate {step.target} by {len(step.fresh_ids)} -> {len(current.nodes)} nodes"
@@ -569,10 +546,6 @@ def replay(script: ConstructionScript) -> tuple[Poset, ReplayReport]:
             report = verify_gluing(current, witness.target, witness.map, step.partition)
             if not report:
                 raise StepMismatch(f"step {i}: gluing failed verification: {report.reason}")
-            if not is_height_zero_gluing(witness):
-                raise StepMismatch(f"step {i}: gluing is not height zero")
-            if step.step_map is not None and step.step_map != witness.map:
-                raise StepMismatch(f"step {i}: recorded step map differs from the replayed one")
             check_dim_min_preservation(witness)
             current = witness.target
             lines.append(
@@ -580,9 +553,17 @@ def replay(script: ConstructionScript) -> tuple[Poset, ReplayReport]:
             )
         else:
             raise StepMismatch(f"step {i}: unknown step kind")
-        if step.after is not None and step.after != current:
-            raise StepMismatch(f"step {i}: replayed poset differs from the recorded one")
+    return current, lines
 
+
+def replay(script: ConstructionScript) -> tuple[Poset, ReplayReport]:
+    """Re-execute a script from its start poset, re-verifying every move.
+
+    Raises StepMismatch when a step's preconditions fail or the result
+    differs from the recorded final poset, BrokenEmbedding when the tracked
+    embedding does not certify.
+    """
+    current, lines = _run_steps(script.start, script.steps)
     if current != script.final:
         raise StepMismatch("final poset differs from the recorded one")
     _verify_certificate(script, current)

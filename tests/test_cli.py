@@ -199,6 +199,25 @@ class TestDecomposeReplay:
         assert captured.err.startswith("verification failed: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("glue_no,extra", [(0, "non-minimal"), (1, "unknown")])
+    def test_tampered_glue_partition_fails_verification(self, capsys, tmp_path, glue_no, extra):
+        obj = json.loads((GOLDEN / "x9.script").read_text())
+        steps = obj["steps"]
+        i = [k for k, step in enumerate(steps) if step["kind"] == "glue"][glue_no]
+        # the node the previous step elevated is no longer minimal
+        steps[i]["partition"][0].append(
+            steps[i - 1]["target"] if extra == "non-minimal" else "no-such-node"
+        )
+        bad = tmp_path / "bad.script"
+        bad.write_text(json.dumps(obj))
+        code = main(["replay", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"verification failed: step {i + 1}: glue partition is not height zero\n"
+        )
+
     def test_stdin_stdout_pipe(self):
         decompose = subprocess.run(
             [sys.executable, "-m", "posetglue.cli", "decompose", fx("x9.poset")],

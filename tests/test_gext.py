@@ -16,6 +16,7 @@ from posetglue import (
     ElevationWitness,
     GlueStep,
     InputError,
+    InternalInvariantError,
     NotHeightOne,
     NotMinimal,
     NotUniqueCover,
@@ -40,13 +41,14 @@ from posetglue import (
     verify_gluing,
     wrap,
 )
-from posetglue import chains, core
+from posetglue import chains, core, gext
+from posetglue.cli import main
 from posetglue.core import Poset
 from posetglue.documents import emit_script, parse_script
 from posetglue.gluing import fiber_collection, is_height_zero_gluing
 from posetglue.generate import random_poset
 
-from conftest import benchmark_inputs, diamond_ladder
+from conftest import FIXTURES, benchmark_inputs, diamond_ladder
 
 
 def chain(*ids):
@@ -349,24 +351,6 @@ class TestDecomposeToPoint:
         tracked = PosetMap(x9, final, script.embedding)
         assert is_saturated_embedding(tracked)
 
-    def test_steps_chain(self, x9):
-        script = decompose_to_point(x9)
-        current = script.start
-        for step in script.steps:
-            assert step.before == current
-            current = step.after
-        assert current == script.final
-
-    def test_step_maps_recorded_and_checked(self, x9):
-        script = decompose_to_point(x9)
-        for step in script.steps:
-            assert step.step_map is not None
-            assert step.step_map.source == step.before
-            assert step.step_map.target == step.after
-            if isinstance(step, ElevateStep):
-                assert is_saturated_embedding(step.step_map)
-        replay(script)
-
     def test_single_max_is_forced(self, vee):
         script = decompose_to_point(vee, WrapOptions(single_max=False))
         final, _ = replay(script)
@@ -421,21 +405,26 @@ class TestPolynomialSplit:
         assert time.perf_counter() - start < 10.0
 
 
-@pytest.fixture
-def build_calls(monkeypatch):
-    """A list that grows by one per ``core.build`` call, counted through
+def counted_calls(monkeypatch, module, name):
+    """A list that grows by one per call of ``module.name``, counted through
     every posetglue module that binds it."""
     calls = []
-    real = core.build
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "posetglue" and getattr(module, "build", None) is real:
-            monkeypatch.setattr(module, "build", counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "posetglue" and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """A list that grows by one per ``core.build`` call."""
+    return counted_calls(monkeypatch, core, "build")
 
 
 class TestLocalQuotients:
@@ -461,6 +450,74 @@ class TestLocalQuotients:
         assert build_calls == []
 
 
+class TestOneForwardPath:
+    """decompose_to_point translates its backward run into recipes and runs
+    them through replay's step loop: the forward path exists once, and its
+    glue steps are verified there."""
+
+    @pytest.mark.parametrize("which,expected", [("chain-60", 120), ("x9", 22)])
+    def test_verify_gluing_calls_per_decompose(self, monkeypatch, x9, which, expected):
+        X = random_poset(1, 60, 1.0) if which == "chain-60" else x9
+        calls = counted_calls(monkeypatch, gext, "verify_gluing")
+        decompose_to_point(X)
+        # one per retraction, split, elevation and glue step
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_step_is_executed_once(self, monkeypatch, x9, seed):
+        X = x9 if seed == 0 else random_poset(seed, 30, 0.15)
+        # gext's own bindings: verify_gluing's canonical quotient is not a step
+        calls = {"_run_steps": 0, "elevate": 0, "glue_along_collection": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(gext, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(gext, name, counted)
+        script = decompose_to_point(X)
+        kinds = [type(step) for step in script.steps]
+        assert kinds.count(GlueStep) > 0
+        assert calls == {
+            "_run_steps": 1,
+            "elevate": kinds.count(ElevateStep),
+            "glue_along_collection": kinds.count(GlueStep),
+        }
+
+    @pytest.fixture
+    def corrupt_embedding(self, monkeypatch):
+        """decompose's script carries x9's embedding with two values swapped."""
+        real = gext.ConstructionScript
+
+        def corrupted(**fields):
+            bad = dict(fields["embedding"])
+            ks = sorted(bad)
+            bad[ks[0]], bad[ks[1]] = bad[ks[1]], bad[ks[0]]
+            return real(**{**fields, "embedding": bad})
+
+        monkeypatch.setattr(gext, "ConstructionScript", corrupted)
+
+    def test_own_broken_embedding_is_an_internal_error(self, x9, corrupt_embedding):
+        with pytest.raises(InternalInvariantError, match="tracked map") as info:
+            decompose_to_point(x9)
+        assert isinstance(info.value.__cause__, BrokenEmbedding)
+
+    def test_own_broken_embedding_exits_3(self, capsys, corrupt_embedding):
+        code = main(["decompose", str(FIXTURES / "x9.poset")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant violated: ")
+        assert captured.err.count("\n") == 1
+
+    def test_own_step_mismatch_is_an_internal_error(self, monkeypatch, x9):
+        # fresh ids that are already taken make the first elevation fail
+        monkeypatch.setattr(gext, "_fresh_ids", lambda prefix, n, used: [min(used)] * n)
+        with pytest.raises(InternalInvariantError, match="step 1: elevate failed") as info:
+            decompose_to_point(x9)
+        assert isinstance(info.value.__cause__, StepMismatch)
+
+
 class TestReplay:
     def test_decompose_scripts_replay(self, diamond):
         script = decompose_to_point(diamond)
@@ -477,34 +534,26 @@ class TestReplay:
 
     def test_corrupted_final_detected(self, diamond):
         script = decompose_to_point(diamond)
-        doctored_covers = set(script.final.covers)
-        doctored_covers.pop()
-        doctored = ConstructionScript(
-            start=script.start,
-            steps=tuple(
-                type(s)(**{**s.__dict__, "before": None, "after": None})
-                for s in script.steps
-            ),
-            final=build(script.final.nodes, doctored_covers),
-            embedding=script.embedding,
-            source=script.source,
-        )
-        with pytest.raises(StepMismatch):
-            replay(doctored)
+        for cover in sorted(script.final.covers):
+            doctored = ConstructionScript(
+                start=script.start,
+                steps=script.steps,
+                final=build(script.final.nodes, script.final.covers - {cover}),
+                embedding=script.embedding,
+                source=script.source,
+            )
+            with pytest.raises(StepMismatch, match="final poset differs"):
+                replay(doctored)
 
-    def test_corrupted_intermediate_detected(self, diamond):
-        script = decompose_to_point(diamond)
+    @pytest.mark.parametrize("glue_no,extra", [(0, "non-minimal"), (1, "unknown")])
+    def test_tampered_glue_partition_detected(self, x9, glue_no, extra):
+        script = decompose_to_point(x9)
         steps = list(script.steps)
-        target_idx = next(i for i, s in enumerate(steps) if isinstance(s, ElevateStep))
-        step = steps[target_idx]
-        covers = set(step.after.covers)
-        covers.pop()
-        steps[target_idx] = ElevateStep(
-            target=step.target,
-            fresh_ids=step.fresh_ids,
-            before=step.before,
-            after=build(step.after.nodes, covers),
-        )
+        i = [k for k, step in enumerate(steps) if isinstance(step, GlueStep)][glue_no]
+        # the node the previous step elevated is no longer minimal
+        added = steps[i - 1].target if extra == "non-minimal" else "no-such-node"
+        first, *rest = steps[i].partition
+        steps[i] = GlueStep(partition=(first | {added}, *rest))
         doctored = ConstructionScript(
             start=script.start,
             steps=tuple(steps),
@@ -512,7 +561,7 @@ class TestReplay:
             embedding=script.embedding,
             source=script.source,
         )
-        with pytest.raises(StepMismatch):
+        with pytest.raises(StepMismatch, match=f"step {i + 1}: glue partition is not height zero"):
             replay(doctored)
 
     def test_bad_elevate_target_detected(self, diamond):
