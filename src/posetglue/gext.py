@@ -7,10 +7,12 @@ step = split shared minima under a pivot until each copy has a unique cover,
 retract the pivot's down-set, and remember the height-zero gluing that undoes
 the splits. Iterating to dimension zero and reversing yields a construction
 script from a single point. Steps are recipes (a target and fresh ids, or a
-partition); one step loop executes them, re-verifying every move, for both
-``replay`` and ``decompose_to_point``, which certifies its own script with it
-before returning. The certificate shows that the original poset sits inside
-the reconstruction as a saturated subset.
+partition); one step loop, ``_run_steps``, executes them, verifying every
+move, for both ``replay`` and ``decompose_to_point``, which certifies its own
+script with it before returning. The backward pass checks only the
+preconditions its moves need and that ``(dim, eta)`` decreases; the step loop
+is the one checker of each elevation and gluing. The certificate shows that
+the original poset sits inside the reconstruction as a saturated subset.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class ElevationWitness:
 
 
 def retract(Z: Poset, z: NodeId) -> ElevationWitness:
-    """Collapse the down-set of z to a point.
+    """Collapse the down-set of z to a point, and validate the witness.
 
     z must have height one and be the only cover of everything below it.
     The collapsed class keeps the least id c in the down-set, as
@@ -86,9 +88,19 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
     (``core._glued`` on the one down-set): it shares Z's up-set objects
     outside the down-set, so making X takes time linear in the size of Z
     instead of a re-closure of the order. The section e sends each surviving
-    node to its unique preimage and c to z. ``validate`` still checks the
-    result against the canonical gluing in full.
+    node to its unique preimage and c to z. ``validate`` checks the result
+    against the canonical gluing in full. ``gextension_step`` uses the
+    unvalidated ``_retraction``: the elevation that undoes it is validated
+    once, when the script's step loop executes it.
     """
+    result = _retraction(Z, z)
+    result.validate()
+    return result
+
+
+def _retraction(Z: Poset, z: NodeId) -> ElevationWitness:
+    """``retract`` without ``validate``: the preconditions are checked, the
+    witness is not."""
     Z._check_node(z)
     if Z.height(z) != 1:
         raise NotHeightOne(f"{z!r} has height {Z.height(z)}, expected 1")
@@ -105,9 +117,7 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
     e_assignment = {w: w for w in Z.nodes if w not in down}
     e_assignment[c] = z
     e = PosetMap(X, Z, e_assignment)
-    result = ElevationWitness(Z, z, X, r, e)
-    result.validate()
-    return result
+    return ElevationWitness(Z, z, X, r, e)
 
 
 def elevate(
@@ -183,8 +193,10 @@ class GExtension:
 
 
 def _pivot(F: Poset) -> NodeId:
-    """The least height-one node on a maximal-length chain (F has dim >= 1)."""
-    return min(x for x in F.nodes if F.height(x) == 1 and F.on_maximal_length_chain(x))
+    """The least height-one node on a maximal-length chain (F has dim >= 1),
+    read off the height and depth tables in one pass."""
+    depths, top = F._depth_table(), F.dim() - 1
+    return min(x for x, h in F._height_table().items() if h == 1 and depths[x] == top)
 
 
 def gextension_step(F1: Poset) -> GExtension:
@@ -193,8 +205,11 @@ def gextension_step(F1: Poset) -> GExtension:
     Pivot: the least height-one node on a maximal-length chain. While some
     minimal node under the pivot has another cover, split the least such node;
     the shared-minima count strictly drops each round. Then retract the
-    pivot's down-set. Each split is checked on its own; the accumulated
-    gluing h is verified, renamed, when the script's glue step is executed.
+    pivot's down-set. Only preconditions and termination are checked here:
+    each split on its own, and the retraction's pivot and unique covers
+    (``_retraction``, which skips ``validate``). The elevation that undoes
+    the retraction and the accumulated gluing h are verified, renamed, when
+    ``_run_steps`` executes the script's elevate and glue steps.
     """
     if not F1.nodes:
         raise EmptyPoset("cannot extend the empty poset")
@@ -224,7 +239,7 @@ def gextension_step(F1: Poset) -> GExtension:
         if F.height(y) != 1 or not F.on_maximal_length_chain(y):
             raise InternalInvariantError("pivot left the maximal-length chains while splitting")
 
-    retraction = retract(F, y)
+    retraction = _retraction(F, y)
     return GExtension(
         f1=F1,
         f2=retraction.X,
@@ -535,8 +550,19 @@ def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
                 f"step {i}: elevate {step.target} by {len(step.fresh_ids)} -> {len(current.nodes)} nodes"
             )
         elif isinstance(step, GlueStep):
+            # glue_along_collection would merge overlapping parts and drop
+            # one-id parts, so a partition that needs either is refused here
             mins = current.min_nodes()
+            seen: set[NodeId] = set()
             for part in step.partition:
+                if len(part) < 2:
+                    raise StepMismatch(
+                        f"step {i}: glue partition part {sorted(part)!r} has fewer than two ids"
+                    )
+                if not seen.isdisjoint(part):
+                    x = min(seen & part)
+                    raise StepMismatch(f"step {i}: glue partition parts overlap at {x!r}")
+                seen |= part
                 if not part <= mins:
                     raise StepMismatch(f"step {i}: glue partition is not height zero")
             try:

@@ -316,7 +316,8 @@ def verify_gluing(
     Q = canonical.target
     if len(Q.nodes) != len(Y.nodes):
         return GluingReport(False, "comparison map is not bijective")
-    phi = {canonical.map(x): g(x) for x in X.nodes}
+    g_of = g.assignment
+    phi = {q: g_of[x] for x, q in canonical.map.assignment.items()}
     if {(phi[a], phi[b]) for a, b in Q.covers} == Y.covers:
         return GluingReport(True)
     # some cover of Y then pulls back to an unordered pair; report the least

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import posetglue
-from posetglue import Poset, build
+from posetglue import ConstructionScript, ElevateStep, GlueStep, Poset, build
 from posetglue.documents import parse_poset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -79,6 +79,20 @@ def diamond_ladder(rungs: int) -> Poset:
         covers += [(below, f"l{i}"), (below, f"r{i}"), (f"l{i}", f"j{i}"), (f"r{i}", f"j{i}")]
         below = f"j{i}"
     return build(nodes, covers)
+
+
+def three_minima_script(*partition):
+    """A script that grows minima a, b, c under the point p0, then glues
+    along the given parts (id lists); its final poset glues a with b."""
+    return ConstructionScript(
+        start=build(["p0"], []),
+        steps=(
+            ElevateStep(target="p0", fresh_ids=("a", "b", "c")),
+            GlueStep(partition=tuple(frozenset(part) for part in partition)),
+        ),
+        final=build(["a", "c", "p0"], [("a", "p0"), ("c", "p0")]),
+        embedding={"p0": "p0"},
+    )
 
 
 def oracle_reachable(P: Poset, a: str, b: str) -> bool:

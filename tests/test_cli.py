@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import copy
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetglue import find_isomorphism
 from posetglue.cli import main
-from posetglue.documents import emit_poset, parse_poset, parse_script
+from posetglue.documents import emit_poset, emit_script, parse_poset, parse_script
 
-from conftest import FIXTURES, diamond_ladder
+from conftest import FIXTURES, diamond_ladder, three_minima_script
 
 
 def run(capsys, *argv):
@@ -218,6 +224,34 @@ class TestDecomposeReplay:
             f"verification failed: step {i + 1}: glue partition is not height zero\n"
         )
 
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            ("x9 repeated part", "step 6: glue partition parts overlap at 'q4.0'"),
+            ("overlapping parts", "step 2: glue partition parts overlap at 'b'"),
+            ("one-id part", "step 2: glue partition part ['c'] has fewer than two ids"),
+        ],
+        ids=["x9 repeated part", "overlapping parts", "one-id part"],
+    )
+    def test_glue_partition_that_needs_repair_fails_verification(
+        self, capsys, tmp_path, tamper, message
+    ):
+        if tamper == "x9 repeated part":
+            obj = json.loads((GOLDEN / "x9.script").read_text())
+            partition = next(step for step in obj["steps"] if step["kind"] == "glue")["partition"]
+            partition.append(list(partition[0]))
+            text = json.dumps(obj)
+        else:
+            last = "bc" if tamper == "overlapping parts" else "c"
+            text = emit_script(three_minima_script("ab", last))
+        bad = tmp_path / "bad.script"
+        bad.write_text(text)
+        code = main(["replay", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"verification failed: {message}\n"
+
     def test_stdin_stdout_pipe(self):
         decompose = subprocess.run(
             [sys.executable, "-m", "posetglue.cli", "decompose", fx("x9.poset")],
@@ -350,3 +384,64 @@ class TestDeterminism:
         code2, out2 = run(capsys, *argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+X9_SCRIPT = json.loads((GOLDEN / "x9.script").read_text())
+
+
+def mutated_x9_script(data):
+    """x9's emitted script with one drawn mutation, as JSON text."""
+    obj = copy.deepcopy(X9_SCRIPT)
+    steps, final = obj["steps"], obj["final"]
+    ids = [*final["nodes"], "no-such-node"]
+    index = st.integers(0, len(steps) - 1)
+    elevates = [step for step in steps if step["kind"] == "elevate"]
+    glues = [step for step in steps if step["kind"] == "glue"]
+    kind = data.draw(
+        st.sampled_from(
+            ["drop", "duplicate", "swap", "retarget", "reuse fresh id", "glue id",
+             "embedding value", "add cover", "drop cover"]
+        )
+    )
+    if kind == "drop":
+        del steps[data.draw(index)]
+    elif kind == "duplicate":
+        i = data.draw(index)
+        steps.insert(i, copy.deepcopy(steps[i]))
+    elif kind == "swap":
+        i, j = data.draw(index), data.draw(index)
+        steps[i], steps[j] = steps[j], steps[i]
+    elif kind == "retarget":
+        data.draw(st.sampled_from(elevates))["target"] = data.draw(st.sampled_from(ids))
+    elif kind == "reuse fresh id":
+        fresh = data.draw(st.sampled_from(elevates))["fresh_ids"]
+        fresh[data.draw(st.integers(0, len(fresh) - 1))] = data.draw(st.sampled_from(ids))
+    elif kind == "glue id":
+        part = data.draw(st.sampled_from(data.draw(st.sampled_from(glues))["partition"]))
+        part[data.draw(st.integers(0, len(part) - 1))] = data.draw(st.sampled_from(ids))
+    elif kind == "embedding value":
+        key = data.draw(st.sampled_from(sorted(obj["embedding"])))
+        obj["embedding"][key] = data.draw(st.sampled_from(ids))
+    elif kind == "add cover":
+        final["covers"].append([data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))])
+    else:
+        del final["covers"][data.draw(st.integers(0, len(final["covers"]) - 1))]
+    return json.dumps(obj)
+
+
+class TestReplayFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_x9_script_keeps_the_exit_contract(self, data):
+        text = mutated_x9_script(data)
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+            code = main(["replay", "-"])
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        if code:
+            assert out.getvalue() == ""
+            assert err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == ""

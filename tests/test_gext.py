@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import time
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -48,7 +49,7 @@ from posetglue.documents import emit_script, parse_script
 from posetglue.gluing import fiber_collection, is_height_zero_gluing
 from posetglue.generate import random_poset
 
-from conftest import FIXTURES, benchmark_inputs, diamond_ladder
+from conftest import FIXTURES, benchmark_inputs, diamond_ladder, three_minima_script
 
 
 def chain(*ids):
@@ -455,13 +456,33 @@ class TestOneForwardPath:
     them through replay's step loop: the forward path exists once, and its
     glue steps are verified there."""
 
-    @pytest.mark.parametrize("which,expected", [("chain-60", 120), ("x9", 22)])
+    @pytest.mark.parametrize(
+        "which,expected", [("chain-60", 60), ("x9", 13)], ids=["chain-60", "x9"]
+    )
     def test_verify_gluing_calls_per_decompose(self, monkeypatch, x9, which, expected):
         X = random_poset(1, 60, 1.0) if which == "chain-60" else x9
         calls = counted_calls(monkeypatch, gext, "verify_gluing")
         decompose_to_point(X)
-        # one per retraction, split, elevation and glue step
+        # one per split, elevation and glue step; retractions are not validated
         assert len(calls) == expected
+
+    @pytest.mark.parametrize(
+        "which,expected", [("chain-60", 60), ("x9", 9)], ids=["chain-60", "x9"]
+    )
+    def test_each_elevation_is_validated_once(self, monkeypatch, x9, which, expected):
+        X = random_poset(1, 60, 1.0) if which == "chain-60" else x9
+        validated = []
+        original = ElevationWitness.validate
+
+        def recording(self):
+            original(self)
+            validated.append(self)
+
+        monkeypatch.setattr(ElevationWitness, "validate", recording)
+        script = decompose_to_point(X)
+        # by the step loop's elevate, never by the backward pass's retraction
+        assert len(validated) == expected
+        assert expected == sum(isinstance(step, ElevateStep) for step in script.steps)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_step_is_executed_once(self, monkeypatch, x9, seed):
@@ -505,6 +526,49 @@ class TestOneForwardPath:
     def test_own_broken_embedding_exits_3(self, capsys, corrupt_embedding):
         code = main(["decompose", str(FIXTURES / "x9.poset")])
         captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant violated: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.fixture
+    def corrupt_retraction(self, monkeypatch):
+        """The first retraction whose X has a cover from a node with two upper
+        covers returns X without the least such cover, which leaves X
+        connected, so the backward pass still reaches a point. The corrupted
+        witnesses are collected."""
+        real = gext._retraction
+        corrupted = []
+
+        def corrupting(Z, z):
+            w = real(Z, z)
+            uppers = w.X._cover_lists(upper=True)
+            shared = sorted((a, b) for a, b in w.X.covers if len(uppers[a]) > 1)
+            if corrupted or not shared:
+                return w
+            X = build(w.X.nodes, w.X.covers - {shared[0]})
+            bad = ElevationWitness(
+                w.Z, w.z, X, PosetMap(w.Z, X, w.r.assignment), PosetMap(X, w.Z, w.e.assignment)
+            )
+            corrupted.append(bad)
+            return bad
+
+        monkeypatch.setattr(gext, "_retraction", corrupting)
+        return corrupted
+
+    def test_corrupted_retraction_is_an_internal_error(self, x9, corrupt_retraction):
+        # gextension_step does not validate its retractions; decompose's
+        # forward certification catches the bad one, which validate rejects
+        with pytest.raises(InternalInvariantError, match="not isomorphic to the padded poset"):
+            decompose_to_point(x9)
+        [bad] = corrupt_retraction
+        with pytest.raises(InternalInvariantError):
+            bad.validate()
+
+    def test_corrupted_retraction_exits_3(self, capsys, corrupt_retraction):
+        code = main(["decompose", str(FIXTURES / "x9.poset")])
+        captured = capsys.readouterr()
+        assert len(corrupt_retraction) == 1
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("internal invariant violated: ")
@@ -563,6 +627,34 @@ class TestReplay:
         )
         with pytest.raises(StepMismatch, match=f"step {i + 1}: glue partition is not height zero"):
             replay(doctored)
+
+    def test_overlapping_glue_parts_detected(self, x9):
+        script = decompose_to_point(x9)
+        steps = list(script.steps)
+        i = next(k for k, step in enumerate(steps) if isinstance(step, GlueStep))
+        # glue_along_collection would merge the repeated part into its twin
+        # and reach the recorded final poset
+        steps[i] = GlueStep(partition=(*steps[i].partition, steps[i].partition[0]))
+        first = min(steps[i].partition[0])
+        with pytest.raises(
+            StepMismatch, match=f"step {i + 1}: glue partition parts overlap at '{first}'"
+        ):
+            replay(replace(script, steps=tuple(steps)))
+
+    @pytest.mark.parametrize(
+        "last,message",
+        [
+            # glue_along_collection would drop the one-id part and reach the
+            # recorded final poset
+            ("c", r"part \['c'\] has fewer than two ids"),
+            ("bc", "parts overlap at 'b'"),
+        ],
+        ids=["one-id part", "overlapping parts"],
+    )
+    def test_glue_partition_that_needs_repair_detected(self, last, message):
+        replay(three_minima_script("ab"))
+        with pytest.raises(StepMismatch, match=f"step 2: glue partition {message}"):
+            replay(three_minima_script("ab", last))
 
     def test_bad_elevate_target_detected(self, diamond):
         script = decompose_to_point(diamond)

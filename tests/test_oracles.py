@@ -25,6 +25,12 @@ loops of checked ``leq`` calls they replaced.
 ``elevate`` and ``retract`` derive their result from their input's up-sets
 (``core._elevated``, and ``core._glued`` on the one down-set); they are
 checked against ``build`` and ``glue_along_complete``, which they replaced.
+``gextension_step`` does not validate its retractions (the step loop
+validates the elevations that undo them), so every retraction it makes on
+the n <= 6 sweep and the fixtures is validated here. ``_pivot`` reads the
+height and depth tables and is checked against the per-node scan it
+replaced; ``verify_gluing`` reads its comparison map off two assignments
+and is checked against the stagewise oracle also on targets with fresh ids.
 
 The embedding test, the saturated-subset test and ``PosetMap``'s totality
 check decide by set algebra and scan only to name a fault; each is checked
@@ -64,6 +70,7 @@ from posetglue import (
     elevate,
     embedding_violation,
     find_isomorphism,
+    gextension_step,
     identity_map,
     is_saturated_subset,
     poset_map_violation,
@@ -74,6 +81,7 @@ from posetglue import (
     wrap,
 )
 from posetglue.chains import _split_by_rank
+from posetglue.gext import _pivot
 from posetglue.gluing import (
     fiber_collection,
     glue_along_collection,
@@ -83,7 +91,7 @@ from posetglue.gluing import (
 from posetglue import generate, gluing
 from posetglue.generate import _as_poset, _closed_relations, all_posets_upto_iso, random_poset
 
-from conftest import benchmark_inputs, diamond_ladder
+from conftest import FIXTURES, benchmark_inputs, diamond_ladder, load_fixture
 
 RANDOM_SEEDS = range(40)
 RANDOM_NODES = 12
@@ -533,21 +541,40 @@ def bad_targets(Y, g, rng):
         yield Y, PosetMap(g.source, Y, {x: swap.get(y, y) for x, y in g.assignment.items()})
 
 
+def renamed_target(Y, g, rng):
+    """Y with shuffled fresh ids, and g followed by the renaming: the ids no
+    longer agree with the canonical quotient's, nor sort like them."""
+    ids = [f"v{i}" for i in range(len(Y))]
+    rng.shuffle(ids)
+    name = dict(zip(Y.nodes, ids))
+    renamed = build(ids, [(name[a], name[b]) for a, b in Y.covers])
+    return renamed, PosetMap(g.source, renamed, {x: name[y] for x, y in g.assignment.items()})
+
+
 def test_verify_gluing_matches_the_stagewise_verdict(small_posets):
-    rng = random.Random(6)
-    reasons = set()
+    # each target also comes with fresh ids, so the comparison map, read off
+    # the two assignments, meets ids that differ from the canonical names;
+    # that side draws from its own stream, so the collections stay the same
+    rng, rename_rng = random.Random(6), random.Random(7)
+    reasons = {"canonical ids": set(), "fresh ids": set()}
     for X in gluing_posets(small_posets):
         for collection in seeded_collections(X, rng):
             try:
                 w = glue_along_collection(X, collection)
             except (NotComplete, UnknownNode):
                 continue
-            for Y, g in [(w.target, w.map), *bad_targets(w.target, w.map, rng)]:
-                report = verify_gluing(X, Y, g, collection)
-                assert report == stagewise_verify_gluing(X, Y, g, collection)
-                reasons.add(report.reason)
-            assert verify_gluing(X, w.target, w.map, collection)
-    assert {"ok", "not a poset map", "comparison map is not an isomorphism"} <= reasons
+            sides = [
+                ("canonical ids", w.target, w.map, rng),
+                ("fresh ids", *renamed_target(w.target, w.map, rename_rng), rename_rng),
+            ]
+            for side, Y, g, side_rng in sides:
+                for Z, f in [(Y, g), *bad_targets(Y, g, side_rng)]:
+                    report = verify_gluing(X, Z, f, collection)
+                    assert report == stagewise_verify_gluing(X, Z, f, collection)
+                    reasons[side].add(report.reason)
+                assert verify_gluing(X, Y, g, collection)
+    for seen in reasons.values():
+        assert {"ok", "not a poset map", "comparison map is not an isomorphism"} <= seen
 
 
 def elevation_posets(small_posets):
@@ -596,6 +623,47 @@ def test_local_elevation_and_retraction_equal_build_and_the_gluing(small_posets)
                 assert_retract_equals_the_gluing(X, z)
                 retractions += 1
     assert (elevations, retractions) == (3534, 296)
+
+
+def backward_retractions(K):
+    """The retraction of every G-extension step from K down to dimension
+    zero, as ``decompose_to_point`` makes them."""
+    while K.dim() > 0:
+        step = gextension_step(K)
+        assert step.retraction.Z is step.Z and step.retraction.z == step.pivot
+        yield step.retraction
+        K = step.f2
+
+
+def test_every_backward_retraction_validates(small_posets):
+    # gextension_step skips validate; the step loop validates the elevation
+    # that undoes each retraction, renamed, and this keeps the raw one honest
+    padded = [wrap(P, WrapOptions())[0] for P in [*small_posets, load_fixture("x9.poset")]]
+    padded += [
+        wrap(load_fixture(path.name), WrapOptions(min_height=3))[0]
+        for path in sorted(FIXTURES.glob("*.poset"))
+    ]
+    checked = 0
+    for K in padded:
+        for retraction in backward_retractions(K):
+            retraction.validate()
+            checked += 1
+    # one per elevate step of the 415 scripts
+    assert (len(padded), checked) == (415, 1902)
+
+
+def scanned_pivot(F):
+    """The pivot as ``_pivot`` found it before it read the height and depth
+    tables: checked ``height`` and ``on_maximal_length_chain`` per node."""
+    return min(x for x in F.nodes if F.height(x) == 1 and F.on_maximal_length_chain(x))
+
+
+def test_pivot_from_the_tables_equals_the_per_node_scan(small_posets):
+    posets = [*small_posets, *(random_poset(s, RANDOM_NODES, RANDOM_P) for s in RANDOM_SEEDS)]
+    posets = [P for P in posets if P.dim() > 0]
+    assert len(posets) > 400
+    for P in posets:
+        assert _pivot(P) == scanned_pivot(P)
 
 
 def built_quotient(X, collection):
