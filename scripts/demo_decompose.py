@@ -12,7 +12,13 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from posetglue import PosetMap, decompose_to_point, is_saturated_embedding, replay
+from posetglue import (
+    PosetMap,
+    VerificationFailure,
+    decompose_to_point,
+    is_saturated_embedding,
+    replay,
+)
 from posetglue.documents import emit_script, parse_poset
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,7 +32,11 @@ def main() -> int:
 
     script = decompose_to_point(X)
     print(f"script: {len(script.steps)} steps, final has {len(script.final.nodes)} nodes")
-    final, report = replay(script)
+    try:
+        final, report = replay(script)
+    except VerificationFailure as exc:
+        print(f"certificate failed: {X!r}: {exc}", file=sys.stderr)
+        return 1
     print()
     print(report)
     print()

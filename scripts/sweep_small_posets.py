@@ -20,7 +20,13 @@ from __future__ import annotations
 import sys
 import time
 
-from posetglue import PosetMap, decompose_to_point, is_saturated_embedding, replay
+from posetglue import (
+    PosetMap,
+    VerificationFailure,
+    decompose_to_point,
+    is_saturated_embedding,
+    replay,
+)
 from posetglue.generate import all_posets_upto_iso
 
 
@@ -43,7 +49,12 @@ def main() -> int:
         t1 = time.perf_counter()
         for P in reps:
             script = decompose_to_point(P)
-            final, _ = replay(script)
+            try:
+                final, _ = replay(script)
+            except VerificationFailure as exc:
+                print(f"certificate failed: {P!r}: {exc}", file=sys.stderr)
+                failed += 1
+                continue
             if not is_saturated_embedding(PosetMap(P, final, script.embedding)):
                 print(f"certificate failed: {P!r}", file=sys.stderr)
                 failed += 1

@@ -2,15 +2,18 @@
 
 A chain decomposition rebuilds a poset as a disjoint sum of fresh chains, one
 per maximal chain, glued back together fiber by fiber; gluing the sum along a
-subcollection of fibers gives the posets in between. Splitting a minimal node
-u is the gluing along every fiber except u's, with u's copies merged per
-cover only. The chain sum has one node per node of every maximal chain, so
-building it is exponential on wide posets; it stays as the paper-facing
-construction (``chain_decomposition``, ``split_for_cover`` with its map t_F)
-and as the oracle the tests compare against. The decompose hot path splits
-with ``_split_by_rank``, which builds the same split poset from X's covers
-and gives each node the id the chain-sum gluing would, computed from chain
-ranks and path counts without listing a chain.
+subcollection of fibers, in one ``glue_along_collection`` call, gives the
+posets in between. Splitting a minimal node u is the gluing along every fiber
+except u's, with u's copies merged per cover only. The chain sum has one node
+per node of every maximal chain, so building it is exponential on wide
+posets; it stays as the paper-facing construction (``chain_decomposition``,
+``split_for_cover`` with its map t_F) and as the oracle the tests compare
+against. The decompose hot path splits with ``_split_by_rank``, a pure
+constructor that builds the same split poset from X's covers and gives each
+node the id the chain-sum gluing would, computed from chain ranks and path
+counts without listing a chain. ``split_for_cover`` checks its result; on
+the decompose path the split is certified by the script's glue step and the
+final isomorphism check instead.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from .errors import (
 from .gluing import (
     GluingWitness,
     fiber_collection,
-    glue_along_complete,
+    glue_along_collection,
     is_height_zero_gluing,
     verify_gluing,
 )
-from .morphism import PosetMap, compose, identity_map
+from .morphism import PosetMap, identity_map
 
 
 @dataclass(frozen=True)
@@ -124,11 +127,10 @@ def verify_min_max_lifting(cd: ChainDecomposition) -> dict[str, frozenset[NodeId
 def glue_D_along_subcollection(
     cd: ChainDecomposition, subcollection: Iterable[Iterable[NodeId]]
 ) -> SplitResult:
-    """Glue the chain sum along a subset of phi's fibers, one fiber at a time.
+    """Glue the chain sum along a subset of phi's fibers in one pass.
 
-    Fibers are glued in ascending order of the node of X they collapse to.
-    The result F sits between D and X: t_F and f_F are gluing maps composing
-    to phi.
+    Each glued fiber keeps its least id. The result F sits between D and X:
+    t_F and f_F are gluing maps composing to phi.
     """
     fibers = set(cd.fibers())
     chosen = []
@@ -137,32 +139,17 @@ def glue_D_along_subcollection(
         if E not in fibers:
             raise NotASubcollection(f"{sorted(E)!r} is not a nontrivial fiber")
         chosen.append(E)
-    chosen.sort(key=lambda E: cd.phi(min(E)))
-
-    current = cd.D
-    t = identity_map(cd.D)
-    for E in chosen:
-        image = frozenset(t(d) for d in E)
-        step = glue_along_complete(current, image)
-        t = compose(t, step.map)
-        current = step.target
-
-    f_assignment = {}
-    for d in cd.D.nodes:
-        f_assignment[t(d)] = cd.phi(d)
-    f = PosetMap(current, cd.X, f_assignment)
-    result = SplitResult(current, t, f)
-    _check_split(cd, result, tuple(chosen))
+    w = glue_along_collection(cd.D, chosen)
+    f = PosetMap(w.target, cd.X, {w.map(d): cd.phi(d) for d in cd.D.nodes})
+    result = SplitResult(w.target, w.map, f)
+    _check_split(cd, result)
     return result
 
 
-def _check_split(cd: ChainDecomposition, result: SplitResult, chosen) -> None:
+def _check_split(cd: ChainDecomposition, result: SplitResult) -> None:
     for d in cd.D.nodes:
         if result.f_F(result.t_F(d)) != cd.phi(d):
             raise InternalInvariantError("f_F . t_F differs from phi")
-    report = verify_gluing(cd.D, result.F, result.t_F, chosen)
-    if not report:
-        raise InternalInvariantError(f"F is not a gluing of D along the subcollection: {report.reason}")
     report = verify_gluing(result.F, cd.X, result.f_F, fiber_collection(result.f_F))
     if not report:
         raise InternalInvariantError(f"X is not a gluing of F: {report.reason}")
@@ -192,11 +179,15 @@ def split_for_cover(X: Poset, u1: NodeId, u2: NodeId) -> SplitResult:
     is nothing to split and X itself comes back with identity maps.
 
     F and f_F come from ``_split_by_rank``, which names F's nodes by chain
-    rank without listing any chain; this function adds the chain sum and the
-    map t_F from it, so it lists every maximal chain of X. The decompose hot
-    path calls ``_split_by_rank`` directly.
+    rank without listing any chain. This function checks them (X is the
+    gluing of F along u1's copies, those copies are minimal, the one under
+    u2 has u2 as its unique cover, and minima and maxima lift), then adds
+    the chain sum and the map t_F from it, so it lists every maximal chain
+    of X. The decompose hot path calls ``_split_by_rank`` directly and
+    leaves the split to the script's checks.
     """
     F, f_F = _split_by_rank(X, u1, u2)
+    _check_split_for_cover(X, F, f_F, u1, u2)
     cd = chain_decomposition(X)
     # every node of X but u1 has one id in F; u1's copies are told apart by
     # the image of their single cover
@@ -214,6 +205,9 @@ def split_for_cover(X: Poset, u1: NodeId, u2: NodeId) -> SplitResult:
 
 def _split_by_rank(X: Poset, u1: NodeId, u2: NodeId) -> tuple[Poset, PosetMap]:
     """F and f_F of ``split_for_cover``, with the same ids, in polynomial time.
+
+    A pure constructor, like ``gext._retraction``: it checks that u1 is
+    minimal and covered by u2, but not its result.
 
     In the chain sum, the copy of x in the maximal chain of rank r (the
     chain's index in ``maximal_chains`` order) is "a{r}.{j}", j being x's
@@ -253,10 +247,6 @@ def _split_by_rank(X: Poset, u1: NodeId, u2: NodeId) -> tuple[Poset, PosetMap]:
         covers.extend((v, name[c]) for c, v in copy.items())
         F = build([*name.values(), *copy.values()], covers)
         f_F = PosetMap(F, X, {**{v: x for x, v in name.items()}, **{v: u1 for v in copy.values()}})
-        lifted_min = set(copy.values()) | {name[m] for m in X.min_nodes() if m != u1}
-        if F.min_nodes() != lifted_min or F.max_nodes() != {name[m] for m in X.max_nodes()}:
-            raise InternalInvariantError("split broke the min/max correspondence")
-    _check_split_for_cover(X, F, f_F, u1, u2)
     return F, f_F
 
 
@@ -310,6 +300,11 @@ def _first_chain_through(x, roots, succ, count, up, floor: int):
 
 
 def _check_split_for_cover(X: Poset, F: Poset, f_F: PosetMap, u1: NodeId, u2: NodeId) -> None:
+    mins, maxs = X.min_nodes(), X.max_nodes()
+    lifted_min = frozenset(v for v, x in f_F.assignment.items() if x in mins)
+    lifted_max = frozenset(v for v, x in f_F.assignment.items() if x in maxs)
+    if F.min_nodes() != lifted_min or F.max_nodes() != lifted_max:
+        raise InternalInvariantError("split broke the min/max correspondence")
     u1_pre = f_F.fiber(u1)
     report = verify_gluing(F, X, f_F, (u1_pre,))
     if not report:

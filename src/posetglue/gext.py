@@ -10,9 +10,11 @@ script from a single point. Steps are recipes (a target and fresh ids, or a
 partition); one step loop, ``_run_steps``, executes them, verifying every
 move, for both ``replay`` and ``decompose_to_point``, which certifies its own
 script with it before returning. The backward pass checks only the
-preconditions its moves need and that ``(dim, eta)`` decreases; the step loop
-is the one checker of each elevation and gluing. The certificate shows that
-the original poset sits inside the reconstruction as a saturated subset.
+preconditions its moves need and that ``(dim, eta)`` decreases; it validates
+neither its retractions nor its splits. The step loop is the one checker of
+each elevation and gluing, and ``decompose_to_point``'s final isomorphism
+check catches a wrong split or retraction. The certificate shows that the
+original poset sits inside the reconstruction as a saturated subset.
 """
 
 from __future__ import annotations
@@ -206,10 +208,12 @@ def gextension_step(F1: Poset) -> GExtension:
     minimal node under the pivot has another cover, split the least such node;
     the shared-minima count strictly drops each round. Then retract the
     pivot's down-set. Only preconditions and termination are checked here:
-    each split on its own, and the retraction's pivot and unique covers
+    the splits' preconditions and the pivot's unique lift (``_split_by_rank``
+    does not check its result), and the retraction's pivot and unique covers
     (``_retraction``, which skips ``validate``). The elevation that undoes
     the retraction and the accumulated gluing h are verified, renamed, when
-    ``_run_steps`` executes the script's elevate and glue steps.
+    ``_run_steps`` executes the script's elevate and glue steps, and
+    ``decompose_to_point`` checks that the steps rebuild its padded poset.
     """
     if not F1.nodes:
         raise EmptyPoset("cannot extend the empty poset")

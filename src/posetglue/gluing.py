@@ -1,16 +1,16 @@
 """Gluing calculus: canonical quotients along interval-closed sets.
 
-``glue_along_complete`` collapses one complete subset to a point; the class
-keeps the lexicographically least member's id, every other node keeps its
-own, so outputs are reproducible and quotient maps are readable. A
-collection is glued in one pass after merging overlapping members into their
-unions: every node is named by its member's least id. When the members are
-down-sets (height-zero gluings and retractions) the quotient is derived from
-the source's up-sets by ``core._glued``; other complete members are built
-once from the image of the cover relation. ``verify_gluing`` certifies an
-arbitrary (X, Y, g, collection) claim by rebuilding the canonical quotient
-and checking that the comparison map carries its covers onto Y's, which pins
-the claim up to unique iso.
+``glue_along_collection`` is the one quotient constructor. It merges
+overlapping members into their unions and names every node by its member's
+least id, so outputs are reproducible and quotient maps are readable. When
+the members are down-sets (height-zero gluings and retractions) the quotient
+is derived from the source's up-sets by ``core._glued``; other complete
+members are built once from the image of the cover relation.
+``glue_along_complete`` is its one-member case, with its own input checks and
+messages. ``verify_gluing`` certifies an arbitrary (X, Y, g, collection)
+claim by its pointwise checks, then rebuilds the canonical quotient and
+checks that the comparison map carries its covers onto Y's, which pins the
+claim up to unique iso.
 """
 
 from __future__ import annotations
@@ -115,8 +115,8 @@ def glue_along_complete(X: Poset, S: Iterable[NodeId]) -> GluingWitness:
 
     Class order: [x] <= [y] iff x <= y, or x lies below some member of S and
     y lies above some member. That is the closure of the image of X's covers,
-    which is what the quotient is built from. The class node is named by S's
-    least member.
+    the quotient ``glue_along_collection`` makes along (S,). The class node
+    is named by S's least member.
     """
     S = frozenset(S)
     if not S:
@@ -126,18 +126,8 @@ def glue_along_complete(X: Poset, S: Iterable[NodeId]) -> GluingWitness:
             raise UnknownNode(f"unknown node {x!r}")
     if not X.is_complete_subset(S):
         raise NotComplete(f"set {sorted(S)!r} is not interval-closed")
-
-    class_name = min(S)
-    name_of = {x: class_name if x in S else x for x in X.nodes}
-    relation = {
-        (name_of[a], name_of[b]) for a, b in X.covers if name_of[a] != name_of[b]
-    }
-    try:
-        Y = build(set(name_of.values()), relation)
-    except Exception as exc:  # antisymmetry is guaranteed for complete S
-        raise InternalInvariantError(f"quotient order failed to build: {exc}") from exc
-    g = PosetMap(X, Y, name_of)
-    return GluingWitness(X, Y, g, (S,))
+    w = glue_along_collection(X, (S,))
+    return GluingWitness(X, w.target, w.map, (S,))
 
 
 def glue_along_collection(
@@ -198,7 +188,7 @@ def _name_incomplete_stage(X: Poset, members: tuple[frozenset[NodeId], ...]) -> 
             raise NotComplete(
                 f"image {sorted(C)!r} of member {sorted(C)!r} is not interval-closed at its stage"
             )
-        current = glue_along_complete(current, C).target
+        current = glue_along_collection(current, (C,)).target
 
 
 def is_height_zero_gluing(w: GluingWitness) -> bool:
@@ -261,13 +251,9 @@ def verify_gluing(
     Checks the two pointwise conditions directly (constant on members; any
     collapsed pair lies in a common merged member), then rebuilds the
     canonical quotient and requires the comparison map to be an isomorphism:
-    the fibers must agree and the images of the canonical covers must be
-    exactly Y's covers. g's fibers are collected once and read by both the
-    pointwise check and the comparison. The canonical map names every node
-    of a member by the member's least id, so its fibers are the normalized
-    members, in the same order, and those are compared directly. The rebuild
-    is ``core._glued`` whenever the members are down-sets, so it costs time
-    linear in the size of X on a chain.
+    the images of the canonical covers must be exactly Y's covers. The
+    rebuild is ``core._glued`` whenever the members are down-sets, so it
+    costs time linear in the size of X on a chain.
     """
     if not isinstance(g, PosetMap):
         g = PosetMap(X, Y, g)
@@ -292,8 +278,7 @@ def verify_gluing(
     for C in members:
         for x in C:
             member_of[x] = C
-    fibers = fiber_collection(g)
-    for C in fibers:
+    for C in fiber_collection(g):
         xs = sorted(C)
         for x in xs[1:]:
             if member_of.get(xs[0]) is None or member_of.get(x) is not member_of.get(xs[0]):
@@ -303,19 +288,14 @@ def verify_gluing(
                     (xs[0], x),
                 )
 
-    try:
-        canonical = glue_along_collection(X, members)
-    except NotComplete as exc:
-        return GluingReport(False, f"no gluing exists along this collection: {exc}")
-
-    if members != fibers:
-        return GluingReport(False, "fibers differ from the canonical quotient's")
-    # with equal fibers, phi: class of x -> g(x) is a well-defined bijection
-    # onto Y (g is surjective), and order-preserving because g is; so it is an
-    # isomorphism iff it carries the canonical covers onto Y's covers
+    # g is constant on each merged member and collapses nothing else, so its
+    # fibers are exactly the members. Fibers of a poset map are convex and
+    # the relation they induce embeds in Y's order, so the canonical quotient
+    # exists; g is surjective, so phi: class of x -> g(x) is a bijection onto
+    # Y, order-preserving because g is, and an isomorphism iff it carries the
+    # canonical covers onto Y's covers.
+    canonical = glue_along_collection(X, members)
     Q = canonical.target
-    if len(Q.nodes) != len(Y.nodes):
-        return GluingReport(False, "comparison map is not bijective")
     g_of = g.assignment
     phi = {q: g_of[x] for x, q in canonical.map.assignment.items()}
     if {(phi[a], phi[b]) for a, b in Q.covers} == Y.covers:

@@ -457,14 +457,17 @@ class TestOneForwardPath:
     glue steps are verified there."""
 
     @pytest.mark.parametrize(
-        "which,expected", [("chain-60", 60), ("x9", 13)], ids=["chain-60", "x9"]
+        "which,expected",
+        [("chain-60", 60), ("x9", 11), ("ladder-3", 13)],
+        ids=["chain-60", "x9", "ladder-3"],
     )
     def test_verify_gluing_calls_per_decompose(self, monkeypatch, x9, which, expected):
-        X = random_poset(1, 60, 1.0) if which == "chain-60" else x9
+        X = {"chain-60": random_poset(1, 60, 1.0), "x9": x9, "ladder-3": diamond_ladder(3)}[which]
         calls = counted_calls(monkeypatch, gext, "verify_gluing")
-        decompose_to_point(X)
-        # one per split, elevation and glue step; retractions are not validated
+        script = decompose_to_point(X)
+        # one per elevation and glue step
         assert len(calls) == expected
+        assert expected == len(script.steps)
 
     @pytest.mark.parametrize(
         "which,expected", [("chain-60", 60), ("x9", 9)], ids=["chain-60", "x9"]
@@ -580,6 +583,53 @@ class TestOneForwardPath:
         with pytest.raises(InternalInvariantError, match="step 1: elevate failed") as info:
             decompose_to_point(x9)
         assert isinstance(info.value.__cause__, StepMismatch)
+
+
+class TestUncheckedSplits:
+    """``_split_by_rank`` does not check its result; on the decompose path a
+    wrong split is caught by the backward pass's termination checks, the
+    step loop or the final isomorphism check, and is a bug (exit 3)."""
+
+    @pytest.fixture(params=["drop-cover", "add-cover"])
+    def corrupt_split(self, request, monkeypatch):
+        """Every split returns F with one of u1's copies, the least not under
+        u2, corrupted: its cover dropped, or a cover added to the least
+        non-minimal node incomparable with it. The corrupted splits are
+        counted."""
+        real = gext._split_by_rank
+        corrupted = []
+
+        def corrupting(X, u1, u2):
+            F, f_F = real(X, u1, u2)
+            v = min(w for w in f_F.fiber(u1) if f_F(min(F.upper_covers(w))) != u2)
+            if request.param == "drop-cover":
+                covers = F.covers - {(v, c) for c in F.upper_covers(v)}
+            else:
+                mins = F.min_nodes()
+                far = min(w for w in F.nodes if w not in mins and w not in F.up_set(v))
+                covers = F.covers | {(v, far)}
+            bad = build(F.nodes, covers)
+            corrupted.append(bad)
+            return bad, PosetMap(bad, X, f_F.assignment)
+
+        monkeypatch.setattr(gext, "_split_by_rank", corrupting)
+        return corrupted
+
+    @pytest.mark.parametrize("seed", [None, *range(20)], ids=["x9", *map(str, range(20))])
+    def test_corrupted_split_is_an_internal_error(self, x9, corrupt_split, seed):
+        X = x9 if seed is None else random_poset(seed, 12, 0.3)
+        with pytest.raises(InternalInvariantError):
+            decompose_to_point(X)
+        assert corrupt_split
+
+    def test_corrupted_split_exits_3(self, capsys, corrupt_split):
+        code = main(["decompose", str(FIXTURES / "x9.poset")])
+        captured = capsys.readouterr()
+        assert corrupt_split
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant violated: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestReplay:

@@ -7,6 +7,10 @@ covers off the successor sets. Each is compared with the construction it
 replaced, kept here as an oracle: the chain-sum gluing, the pairwise class
 relation, and ``networkx.transitive_reduction``.
 
+``glue_D_along_subcollection`` glues the chain sum along its fibers in one
+``glue_along_collection`` call; it is checked against the fiber-by-fiber
+fold it replaced, kept here with the pairwise relation as each step.
+
 ``glue_along_collection`` makes the quotient in one pass and
 ``verify_gluing`` compares covers; both are checked against the stagewise
 fold they replaced (one ``glue_along_complete`` per member, composed maps,
@@ -71,6 +75,7 @@ from posetglue import (
     embedding_violation,
     find_isomorphism,
     gextension_step,
+    glue_D_along_subcollection,
     identity_map,
     is_saturated_subset,
     poset_map_violation,
@@ -220,6 +225,36 @@ def test_rank_split_equals_the_chain_sum_gluing(small_posets):
                 assert F == oracle[0]
                 assert f_F.assignment == oracle[1]
     assert cases == 952
+
+
+def fold_glue_D(cd, chosen):
+    """The chain sum glued one fiber at a time with the pairwise relation, in
+    ascending order of the node of X each fiber collapses to. Returns (F,
+    t_F assignment, f_F assignment)."""
+    F = cd.D
+    t = {d: d for d in cd.D.nodes}
+    for E in sorted(chosen, key=lambda E: cd.phi(min(E))):
+        F, step = pairwise_glue(F, {t[d] for d in E})
+        t = {d: step[v] for d, v in t.items()}
+    return F, t, {t[d]: cd.phi(d) for d in cd.D.nodes}
+
+
+def test_one_pass_chain_sum_gluing_equals_the_fiber_fold(small_posets):
+    rng = random.Random(8)
+    cases = 0
+    for X in small_posets:
+        cd = chain_decomposition(X)
+        fibers = list(cd.fibers())
+        subcollections = [[], fibers]
+        subcollections += [rng.sample(fibers, len(fibers) // 2) for _ in range(3)]
+        for chosen in subcollections:
+            result = glue_D_along_subcollection(cd, chosen)
+            F, t, f = fold_glue_D(cd, chosen)
+            assert result.F == F
+            assert result.t_F.assignment == t
+            assert result.f_F.assignment == f
+            cases += 1
+    assert cases == 5 * len(small_posets)
 
 
 def test_glue_along_complete_equals_pairwise_relation(small_posets):

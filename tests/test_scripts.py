@@ -1,8 +1,9 @@
 """The scripts in ``scripts/`` report a failed certificate by exit status.
 
 They check with an explicit test, not ``assert``, so the check also runs
-under ``python -O``. Each test loads a script as a module and patches its
-check to fail. A bad argument is exit 2, not the exit 1 of a failed
+under ``python -O``, and catch a failed replay instead of printing a
+traceback. Each test loads a script as a module and patches its check or
+``replay`` to fail. A bad argument is exit 2, not the exit 1 of a failed
 certificate.
 """
 
@@ -12,6 +13,8 @@ import importlib.util
 import sys
 
 import pytest
+
+from posetglue import StepMismatch
 
 from conftest import FIXTURES
 
@@ -55,6 +58,30 @@ def test_demo_exits_one_and_names_the_poset_when_the_certificate_fails(monkeypat
     out, err = capsys.readouterr()
     assert "script written" not in out
     assert err.startswith("certificate failed: Poset(")
+
+
+def refuse(script):
+    raise StepMismatch("final poset differs from the recorded one")
+
+
+def test_sweep_counts_a_replay_failure_and_goes_on(sweep, monkeypatch, capsys):
+    monkeypatch.setattr(sweep, "replay", refuse)
+    assert sweep.main() == 1
+    out, err = capsys.readouterr()
+    assert "8 certificates FAILED" in out
+    assert err.count("certificate failed: Poset(") == 8
+    assert "Traceback" not in err
+
+
+def test_demo_exits_one_and_names_the_poset_when_replay_fails(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["demo_decompose.py"])
+    demo = load_script("demo_decompose")
+    monkeypatch.setattr(demo, "replay", refuse)
+    assert demo.main() == 1
+    out, err = capsys.readouterr()
+    assert "script written" not in out
+    assert err.startswith("certificate failed: Poset(")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("arg", ["x", "-3"])
