@@ -33,10 +33,20 @@ SPLIT_MAX_CHAINS = 4096
 
 
 def _read(path: str) -> str:
+    """The document's bytes from path, or stdin for `-`, decoded as UTF-8
+    here for both, so the locale's stdin error handler plays no part."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        source = "stdin" if path == "-" else path
+        raise InputError(
+            f"{source} is not valid UTF-8: {exc.reason} at byte {exc.start}"
+        ) from exc
 
 
 def _write(text: str) -> None:

@@ -12,7 +12,10 @@ move, for both ``replay`` and ``decompose_to_point``, which certifies its own
 script with it before returning. The backward pass checks only the
 preconditions its moves need and that ``(dim, eta)`` decreases; it validates
 neither its retractions nor its splits. The step loop is the one checker of
-each elevation and gluing, and ``decompose_to_point``'s final isomorphism
+each elevation and gluing: an elevation validates its witness, and a glue
+step's quotient (``core._glued``) is checked against its closed form by
+``gluing._verify_height_zero_quotient``, which reads only the input's up-sets
+and covers and rebuilds nothing. ``decompose_to_point``'s final isomorphism
 check catches a wrong split or retraction. The certificate shows that the
 original poset sits inside the reconstruction as a saturated subset.
 """
@@ -38,9 +41,8 @@ from .errors import (
 )
 from .gluing import (
     GluingWitness,
-    check_dim_min_preservation,
+    _verify_height_zero_quotient,
     fiber_collection,
-    glue_along_collection,
     verify_gluing,
 )
 from .morphism import PosetMap, compose, identity_map, inclusion_map
@@ -457,7 +459,7 @@ def decompose_to_point(
 
     # sigma maps raw ids of the current backward-pass poset to canonical ids;
     # its values are the node set the forward run has reached. A glued part
-    # is named by its least id, as glue_along_collection names it. Each
+    # is named by its least id, as core._glued names it. Each
     # backward step is dropped once used, so they are not all kept alive.
     start = build(["p0"], [])
     sigma = {min(current.nodes): "p0"}
@@ -539,8 +541,10 @@ def _verify_certificate(script: ConstructionScript, final: Poset) -> None:
 
 def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
     """Execute the steps from start, verifying every move; the reached poset
-    and one report line per step. Raises StepMismatch when a step's
-    preconditions or its verification fail."""
+    and one report line per step. An elevation validates its witness. A glue
+    step is made by ``core._glued`` and checked against the closed form of a
+    height-zero quotient, never by rebuilding it. Raises StepMismatch when a
+    step's preconditions or its verification fail."""
     lines = []
     current = start
     for i, step in enumerate(steps, start=1):
@@ -554,8 +558,9 @@ def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
                 f"step {i}: elevate {step.target} by {len(step.fresh_ids)} -> {len(current.nodes)} nodes"
             )
         elif isinstance(step, GlueStep):
-            # glue_along_collection would merge overlapping parts and drop
-            # one-id parts, so a partition that needs either is refused here
+            # _glued and the closed-form check need disjoint parts of two or
+            # more minima; a partition that needs merging or dropping parts
+            # is refused here, not repaired
             mins = current.min_nodes()
             seen: set[NodeId] = set()
             for part in step.partition:
@@ -569,15 +574,11 @@ def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
                 seen |= part
                 if not part <= mins:
                     raise StepMismatch(f"step {i}: glue partition is not height zero")
-            try:
-                witness = glue_along_collection(current, step.partition)
-            except InputError as exc:
-                raise StepMismatch(f"step {i}: glue failed: {exc}") from exc
-            report = verify_gluing(current, witness.target, witness.map, step.partition)
+            glued = _glued(current, step.partition)
+            report = _verify_height_zero_quotient(current, glued, step.partition)
             if not report:
                 raise StepMismatch(f"step {i}: gluing failed verification: {report.reason}")
-            check_dim_min_preservation(witness)
-            current = witness.target
+            current = glued
             lines.append(
                 f"step {i}: glue {len(step.partition)} classes -> {len(current.nodes)} nodes"
             )

@@ -10,7 +10,11 @@ members are built once from the image of the cover relation.
 messages. ``verify_gluing`` certifies an arbitrary (X, Y, g, collection)
 claim by its pointwise checks, then rebuilds the canonical quotient and
 checks that the comparison map carries its covers onto Y's, which pins the
-claim up to unique iso.
+claim up to unique iso. It serves CLI ``glue``, ``split_for_cover`` and
+``ElevationWitness.validate``. The step loop's glue steps are height-zero
+gluings, whose quotient has a closed form; ``_verify_height_zero_quotient``
+checks ``core._glued``'s result against that form from the source's up-sets
+and covers, so the code that checks a glue step is not the code that made it.
 """
 
 from __future__ import annotations
@@ -298,14 +302,80 @@ def verify_gluing(
     Q = canonical.target
     g_of = g.assignment
     phi = {q: g_of[x] for x, q in canonical.map.assignment.items()}
-    if {(phi[a], phi[b]) for a, b in Q.covers} == Y.covers:
+    images = {(phi[a], phi[b]) for a, b in Q.covers}
+    if images == Y.covers:
         return GluingReport(True)
-    # some cover of Y then pulls back to an unordered pair; report the least
+    # when Y's covers generate its up-sets, some cover of Y then pulls back
+    # to an unordered pair; report the least. A Y whose covers and up-sets
+    # disagree may have none, and then the least pair in one cover set only
+    # is reported.
     inverse = {y: q for q, y in phi.items()}
     witness = next(
-        (a, b) for a, b in sorted(Y.covers) if inverse[b] not in Q._up[inverse[a]]
+        ((a, b) for a, b in sorted(Y.covers) if inverse[b] not in Q._up[inverse[a]]),
+        None,
     )
+    if witness is None:
+        witness = min(images ^ Y.covers)
     return GluingReport(False, "comparison map is not an isomorphism", witness)
+
+
+def _verify_height_zero_quotient(
+    X: Poset, Y: Poset, partition: Sequence[frozenset[NodeId]]
+) -> GluingReport:
+    """Certify Y as X glued along a partition of some of X's minima, from
+    X's up-sets and covers alone, without building a quotient.
+
+    The caller has checked that the parts are disjoint, that each has two or
+    more ids, and that all lie in X's minima. Such a quotient has a closed
+    form. The class c = min(C) has the up-set {c} | up(m) over m in C, minus
+    the rest of C. Its covers are the least of the nodes that members of C
+    cover. Every other node keeps its up-set and its covers. Y's nodes,
+    up-sets and covers are compared with that form, then its minima and
+    dimension with X's.
+    """
+    X_up, Y_up, Y_covers = X._up, Y._up, Y.covers
+    class_of = {m: min(C) for C in partition for m in C}
+    classes = set(class_of.values())
+    expected = (X_up.keys() - class_of.keys()) | classes
+    if Y_up.keys() != expected or Y.nodes != tuple(sorted(expected)):
+        return GluingReport(False, "nodes are not the untouched nodes plus one class per part")
+    for x, up in X_up.items():
+        if x not in class_of and Y_up[x] is not up and Y_up[x] != up:
+            return GluingReport(False, f"up-set of untouched node {x!r} changed")
+    exits: dict[NodeId, set[NodeId]] = {c: set() for c in classes}
+    kept = 0
+    for a, b in X.covers:
+        c = class_of.get(a)
+        if c is not None:
+            exits[c].add(b)
+        elif (a, b) in Y_covers:
+            kept += 1
+        else:
+            return GluingReport(False, "cover of an untouched node was dropped", (a, b))
+    for C in partition:
+        c = min(C)
+        if Y_up[c] != (frozenset().union(*(X_up[m] for m in C)) - C) | {c}:
+            return GluingReport(False, f"up-set of class {c!r} is not the closed form")
+        # the kept covers are the least exits iff each exit is implied by a
+        # kept one exactly when it is not kept itself
+        uppers = [b for b in exits[c] if (c, b) in Y_covers]
+        kept += len(uppers)
+        for b in sorted(exits[c]):
+            implied = any(b in X_up[u] for u in uppers if u != b)
+            if implied and (c, b) in Y_covers:
+                return GluingReport(False, f"class {c!r} keeps an implied cover", (c, b))
+            if not implied and (c, b) not in Y_covers:
+                return GluingReport(False, f"class {c!r} lost a cover", (c, b))
+    if kept != len(Y_covers):
+        image = {(class_of.get(a, a), b) for a, b in X.covers}
+        return GluingReport(
+            False, "a cover is not the image of a source cover", min(Y_covers - image)
+        )
+    if Y.min_nodes() != (X.min_nodes() - class_of.keys()) | classes:
+        return GluingReport(False, "minima are not the untouched minima plus the classes")
+    if Y.dim() != X.dim():
+        return GluingReport(False, f"dimension changed: {X.dim()} -> {Y.dim()}")
+    return GluingReport(True)
 
 
 def find_c_sequence(

@@ -329,6 +329,27 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err == "input error: JSON nests too deeply\n"
 
+    @pytest.mark.parametrize("command", ["info", "replay"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_invalid_utf8_is_input_error(self, capsys, monkeypatch, tmp_path, command, source):
+        data = b"\xff\xfe{}"
+        if source == "file":
+            path = tmp_path / "bad.poset"
+            path.write_bytes(data)
+            arg = str(path)
+        else:
+            # a strict stdin decoder, as under PYTHONIOENCODING=utf-8:strict
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+            monkeypatch.setattr("sys.stdin", stdin)
+            arg = "-"
+        code = main([command, arg])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert "not valid UTF-8" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom\nsecond line")
@@ -435,7 +456,8 @@ class TestReplayFuzz:
     def test_mutated_x9_script_keeps_the_exit_contract(self, data):
         text = mutated_x9_script(data)
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+        with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
             code = main(["replay", "-"])
         err = err.getvalue()
         assert code in (0, 1, 2), err

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 import time
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -458,16 +460,17 @@ class TestOneForwardPath:
 
     @pytest.mark.parametrize(
         "which,expected",
-        [("chain-60", 60), ("x9", 11), ("ladder-3", 13)],
+        [("chain-60", 60), ("x9", 9), ("ladder-3", 10)],
         ids=["chain-60", "x9", "ladder-3"],
     )
     def test_verify_gluing_calls_per_decompose(self, monkeypatch, x9, which, expected):
         X = {"chain-60": random_poset(1, 60, 1.0), "x9": x9, "ladder-3": diamond_ladder(3)}[which]
         calls = counted_calls(monkeypatch, gext, "verify_gluing")
         script = decompose_to_point(X)
-        # one per elevation and glue step
+        # one per elevation, in its validate; glue steps are checked against
+        # the closed form instead
         assert len(calls) == expected
-        assert expected == len(script.steps)
+        assert expected == sum(isinstance(step, ElevateStep) for step in script.steps)
 
     @pytest.mark.parametrize(
         "which,expected", [("chain-60", 60), ("x9", 9)], ids=["chain-60", "x9"]
@@ -490,8 +493,8 @@ class TestOneForwardPath:
     @pytest.mark.parametrize("seed", range(4))
     def test_each_step_is_executed_once(self, monkeypatch, x9, seed):
         X = x9 if seed == 0 else random_poset(seed, 30, 0.15)
-        # gext's own bindings: verify_gluing's canonical quotient is not a step
-        calls = {"_run_steps": 0, "elevate": 0, "glue_along_collection": 0}
+        # gext's own bindings; _glued is not counted, as _retraction calls it too
+        calls = {"_run_steps": 0, "elevate": 0, "_verify_height_zero_quotient": 0}
         for name in calls:
 
             def counted(*args, _name=name, _real=getattr(gext, name)):
@@ -505,7 +508,7 @@ class TestOneForwardPath:
         assert calls == {
             "_run_steps": 1,
             "elevate": kinds.count(ElevateStep),
-            "glue_along_collection": kinds.count(GlueStep),
+            "_verify_height_zero_quotient": kinds.count(GlueStep),
         }
 
     @pytest.fixture
@@ -629,6 +632,62 @@ class TestUncheckedSplits:
         assert code == 3
         assert captured.out == ""
         assert captured.err.startswith("internal invariant violated: ")
+        assert captured.err.count("\n") == 1
+
+
+X9_SCRIPT = Path(__file__).resolve().parent / "golden" / "x9.script"
+
+
+class TestCorruptedGlue:
+    """The step loop checks each glue step against the closed form of its
+    quotient instead of rebuilding it with ``_glued``, so a wrong ``_glued``
+    fails replay as a verification failure (exit 1) naming the glue step."""
+
+    @pytest.fixture(params=["drop-cover", "add-to-up-set", "implied-cover"])
+    def corrupt_glued(self, request, monkeypatch):
+        """``gext._glued`` corrupts the least class of its result whenever
+        every member lies in the source's minima, so retractions, which
+        collapse a down-set with its pivot, are untouched. The class loses
+        its least cover, gains an id that is no node in its up-set, or keeps
+        a cover implied by one of its covers. The corruptions are counted."""
+        real = gext._glued
+        corrupted = []
+
+        def corrupting(X, members):
+            Y = real(X, members)
+            mins = X.min_nodes()
+            if not all(C <= mins for C in members):
+                return Y
+            c = min(min(C) for C in members)
+            uppers = {b for a, b in Y.covers if a == c}
+            covers, up = Y.covers, Y._up
+            if request.param == "drop-cover":
+                covers = covers - {(c, min(uppers))}
+            elif request.param == "add-to-up-set":
+                up = {**up, c: up[c] | {"unrelated"}}
+            else:
+                covers = covers | {(c, min(up[c] - {c} - uppers))}
+            corrupted.append(Y)
+            return Poset(Y.nodes, covers, up)
+
+        monkeypatch.setattr(gext, "_glued", corrupting)
+        return corrupted
+
+    def test_replay_names_the_glue_step(self, corrupt_glued):
+        script = parse_script(X9_SCRIPT.read_text())
+        with pytest.raises(StepMismatch, match="gluing failed verification") as info:
+            replay(script)
+        assert len(corrupt_glued) == 1
+        step = int(re.match(r"step (\d+): ", str(info.value)).group(1))
+        assert isinstance(script.steps[step - 1], GlueStep)
+
+    def test_replay_exits_1(self, capsys, corrupt_glued):
+        code = main(["replay", str(X9_SCRIPT)])
+        captured = capsys.readouterr()
+        assert corrupt_glued
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: step ")
         assert captured.err.count("\n") == 1
 
 

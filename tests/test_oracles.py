@@ -18,7 +18,13 @@ and an inverse comparison map), kept here as an oracle, on collections that
 reach both of its paths. When every member is a down-set the quotient is
 derived from the source's up-sets (``core._glued``); on retraction down-sets,
 principal down-sets, the minima and partitions of them it is checked against
-``build`` on the image of the covers, which it replaced there.
+``build`` on the image of the covers, which it replaced there. The step
+loop's glue steps are certified by ``_verify_height_zero_quotient`` against
+the closed form of a height-zero quotient, in place of ``verify_gluing`` and
+``check_dim_min_preservation``; on every partition of the minima of every
+poset with n <= 6 it accepts what they accept, and it rejects, as
+``verify_gluing`` does, each variant with a cover dropped or added or an
+up-set changed.
 
 The order kernel is checked the same way: ``build`` against ``networkx``
 (above) and against a relation with a cycle past a DAG part, heights, depths and chain counts
@@ -87,7 +93,10 @@ from posetglue import (
 )
 from posetglue.chains import _split_by_rank
 from posetglue.gext import _pivot
+from posetglue.core import Poset, _glued
 from posetglue.gluing import (
+    _verify_height_zero_quotient,
+    check_dim_min_preservation,
     fiber_collection,
     glue_along_collection,
     glue_along_complete,
@@ -748,6 +757,59 @@ def test_gluing_along_down_sets_equals_the_built_quotient(small_posets, monkeypa
             assert w.map.assignment == name_of
             glued += 1
     assert glued == 6643
+
+
+def minima_partitions(X):
+    """Every partition of X's minima into parts of two or more ids, the rest
+    left untouched, as the step loop's glue steps give them; not the empty
+    one."""
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for p in partitions(rest):
+            yield [[first], *p]
+            for i in range(len(p)):
+                yield [*p[:i], [first, *p[i]], *p[i + 1 :]]
+
+    for p in partitions(sorted(X.min_nodes())):
+        parts = tuple(frozenset(part) for part in p if len(part) >= 2)
+        if parts:
+            yield parts
+
+
+def wrong_quotients(Y):
+    """Y with one cover dropped, with one cover added between two distinct
+    nodes, or with one upper cover missing from its lower node's up-set;
+    made directly, as a faulty constructor would, not through ``build``."""
+    for cover in sorted(Y.covers):
+        yield Poset(Y.nodes, Y.covers - {cover}, Y._up)
+    for a, b in permutations(Y.nodes, 2):
+        if (a, b) not in Y.covers:
+            yield Poset(Y.nodes, Y.covers | {(a, b)}, Y._up)
+    for a, b in sorted(Y.covers):
+        yield Poset(Y.nodes, Y.covers, {**Y._up, a: Y._up[a] - {b}})
+
+
+def test_closed_form_check_agrees_with_verify_gluing(small_posets):
+    glued = rejected = 0
+    for X in small_posets:
+        for partition in minima_partitions(X):
+            Y = _glued(X, partition)
+            built, name_of = built_quotient(X, partition)
+            assert same_order(Y, built)
+            g = PosetMap(X, Y, name_of)
+            assert _verify_height_zero_quotient(X, Y, partition)
+            assert verify_gluing(X, Y, g, partition)
+            check_dim_min_preservation(GluingWitness(X, Y, g, partition))
+            glued += 1
+            for bad in wrong_quotients(Y):
+                assert not _verify_height_zero_quotient(X, bad, partition)
+                assert not verify_gluing(X, bad, name_of, partition)
+                rejected += 1
+    assert (glued, rejected) == (1555, 25355)
 
 
 def scan_poset_map_fault(source, target, assignment):
