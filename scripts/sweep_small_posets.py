@@ -4,12 +4,14 @@
 Usage: python scripts/sweep_small_posets.py [N]
 
 Enumerates every poset up to isomorphism, decomposes each to a point,
-replays the script, and verifies the certificate. N, a positive integer,
-defaults to 6 (405 posets, about 1 s); N=7 covers 2450 posets in about
-5 s, of which 0.2 s is enumeration and the rest decompose and replay; N=8
-covers 19449 posets in about 52 s (enumeration about 3 s). Each level is
-enumerated once. Timings are Python 3.11 on one core of a shared 2-core
-machine.
+replays the script, and verifies the certificate. It prints the SHA-256
+over the emitted scripts, in sweep order, as `script sha256: <hex>`, so a
+change in the bytes `decompose` emits shows as a changed digest. N, a
+positive integer, defaults to 6 (405 posets, about 1 s); N=7 covers 2450
+posets in about 5 s, of which 0.2 s is enumeration and the rest decompose
+and replay; N=8 covers 19449 posets in about 52 s (enumeration about 3 s).
+Each level is enumerated once. Timings are Python 3.11 on one core of a
+shared 2-core machine.
 
 Exit status: 0 when every certificate verifies, 1 when one fails, 2 on a
 bad argument (one usage line on stderr).
@@ -17,6 +19,7 @@ bad argument (one usage line on stderr).
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import time
 
@@ -27,6 +30,7 @@ from posetglue import (
     is_saturated_embedding,
     replay,
 )
+from posetglue.documents import emit_script
 from posetglue.generate import all_posets_upto_iso
 
 
@@ -42,6 +46,7 @@ def main() -> int:
     n_max = int(args[0]) if args else 6
     grand_total = 0
     failed = 0
+    digest = hashlib.sha256()
     start = time.perf_counter()
     for n in range(1, n_max + 1):
         t0 = time.perf_counter()
@@ -49,6 +54,7 @@ def main() -> int:
         t1 = time.perf_counter()
         for P in reps:
             script = decompose_to_point(P)
+            digest.update(emit_script(script).encode("utf-8"))
             try:
                 final, _ = replay(script)
             except VerificationFailure as exc:
@@ -65,6 +71,7 @@ def main() -> int:
             f"(enumerate {t1 - t0:5.1f}s, decompose+replay {t2 - t1:5.1f}s)"
         )
     elapsed = time.perf_counter() - start
+    print(f"script sha256: {digest.hexdigest()}")
     if failed:
         print(f"total: {grand_total} posets, {failed} certificates FAILED ({elapsed:.1f}s)")
         return 1

@@ -11,9 +11,17 @@ posets; it stays as the paper-facing construction (``chain_decomposition``,
 against. The decompose hot path splits with ``_split_by_rank``, a pure
 constructor that builds the same split poset from X's covers and gives each
 node the id the chain-sum gluing would, computed from chain ranks and path
-counts without listing a chain. ``split_for_cover`` checks its result; on
-the decompose path the split is certified by the script's glue step and the
-final isomorphism check instead.
+counts without listing a chain.
+
+Each fact is checked in one place. ``chain_decomposition`` checks that X is
+a gluing of D. Both split paths, ``glue_D_along_subcollection`` and
+``split_for_cover``, end in ``_check_split``: t_F is a poset map, f_F . t_F
+= phi, X is a gluing of F, and minima and maxima lift through f_F (by
+``_lifts_extrema``, the predicate ``verify_min_max_lifting`` uses for phi).
+``split_for_cover`` adds only what is particular to a split: u1's copies are
+minimal and the one under u2 has u2 as its unique cover. On the decompose
+path the split is certified by the script's glue step and the final
+isomorphism check instead.
 """
 
 from __future__ import annotations
@@ -30,14 +38,8 @@ from .errors import (
     NotASubcollection,
     NotMinimal,
 )
-from .gluing import (
-    GluingWitness,
-    fiber_collection,
-    glue_along_collection,
-    is_height_zero_gluing,
-    verify_gluing,
-)
-from .morphism import PosetMap, identity_map
+from .gluing import fiber_collection, glue_along_collection, verify_gluing
+from .morphism import PosetMap, identity_map, is_poset_map, poset_map_violation
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,11 @@ def chain_decomposition(X: Poset) -> ChainDecomposition:
     """Fresh chain copies "a{i}.{j}" of every maximal chain, mapped back onto X."""
     if not X.nodes:
         raise EmptyPoset("cannot decompose the empty poset")
-    originals = X.maximal_chains()
     nodes = []
     covers = []
     assignment = {}
     chains = []
-    for i, chain in enumerate(originals):
+    for i, chain in enumerate(X.maximal_chains()):
         copy = tuple(f"a{i}.{j}" for j in range(len(chain)))
         chains.append(copy)
         nodes.extend(copy)
@@ -88,40 +89,27 @@ def chain_decomposition(X: Poset) -> ChainDecomposition:
     phi = PosetMap(D, X, assignment)
 
     cd = ChainDecomposition(D, phi, tuple(chains))
-    _check_decomposition(cd, originals)
+    if not phi.is_surjective():
+        raise InternalInvariantError("chain decomposition map is not surjective")
+    report = verify_gluing(D, X, phi, cd.fibers())
+    if not report:
+        raise InternalInvariantError(f"poset is not a gluing of its chain sum: {report.reason}")
     return cd
 
 
-def _check_decomposition(cd: ChainDecomposition, originals: list[tuple[NodeId, ...]]) -> None:
-    X = cd.X
-    maximal = set(originals)
-    images = set()
-    for chain in cd.chains:
-        image = tuple(cd.phi(d) for d in chain)
-        if image not in maximal:
-            raise InternalInvariantError(f"chain image {image!r} is not a maximal chain")
-        images.add(image)
-        for a, b in zip(chain, chain[1:]):
-            if not X.is_cover(cd.phi(a), cd.phi(b)):
-                raise InternalInvariantError("chain copy does not map isomorphically")
-    if images != maximal:
-        raise InternalInvariantError("some maximal chain has no chain copy")
-    if not cd.phi.is_surjective():
-        raise InternalInvariantError("chain decomposition map is not surjective")
-    report = verify_gluing(cd.D, X, cd.phi, cd.fibers())
-    if not report:
-        raise InternalInvariantError(f"poset is not a gluing of its chain sum: {report.reason}")
+def _lifts_extrema(g: PosetMap) -> bool:
+    """min and max of g's source are exactly the g-preimages of its target's."""
+    mins, maxs = g.target.min_nodes(), g.target.max_nodes()
+    lifted_min = frozenset(v for v, x in g.assignment.items() if x in mins)
+    lifted_max = frozenset(v for v, x in g.assignment.items() if x in maxs)
+    return g.source.min_nodes() == lifted_min and g.source.max_nodes() == lifted_max
 
 
 def verify_min_max_lifting(cd: ChainDecomposition) -> dict[str, frozenset[NodeId]]:
     """min D and max D must be exactly the phi-preimages of min X and max X."""
-    min_d = cd.D.min_nodes()
-    max_d = cd.D.max_nodes()
-    min_pre = frozenset(d for d in cd.D.nodes if cd.phi(d) in cd.X.min_nodes())
-    max_pre = frozenset(d for d in cd.D.nodes if cd.phi(d) in cd.X.max_nodes())
-    if min_d != min_pre or max_d != max_pre:
+    if not _lifts_extrema(cd.phi):
         raise InternalInvariantError("chain decomposition broke the min/max correspondence")
-    return {"min": min_d, "max": max_d}
+    return {"min": cd.D.min_nodes(), "max": cd.D.max_nodes()}
 
 
 def glue_D_along_subcollection(
@@ -147,22 +135,20 @@ def glue_D_along_subcollection(
 
 
 def _check_split(cd: ChainDecomposition, result: SplitResult) -> None:
+    """F sits between D and X: t_F is a poset map, f_F . t_F = phi, X is a
+    gluing of F, and minima and maxima lift through f_F. They lift through
+    phi (``verify_min_max_lifting``), so they lift through t_F too."""
+    if not is_poset_map(result.t_F):
+        raise InternalInvariantError(
+            f"t_F is not order-preserving at {poset_map_violation(result.t_F)!r}"
+        )
     for d in cd.D.nodes:
         if result.f_F(result.t_F(d)) != cd.phi(d):
             raise InternalInvariantError("f_F . t_F differs from phi")
     report = verify_gluing(result.F, cd.X, result.f_F, fiber_collection(result.f_F))
     if not report:
         raise InternalInvariantError(f"X is not a gluing of F: {report.reason}")
-    _check_min_max_lift(cd, result)
-
-
-def _check_min_max_lift(cd: ChainDecomposition, result: SplitResult) -> None:
-    """min/max lift through t_F as they do through phi."""
-    mins = result.F.min_nodes()
-    maxs = result.F.max_nodes()
-    min_pre = frozenset(d for d in cd.D.nodes if result.t_F(d) in mins)
-    max_pre = frozenset(d for d in cd.D.nodes if result.t_F(d) in maxs)
-    if min_pre != cd.D.min_nodes() or max_pre != cd.D.max_nodes():
+    if not _lifts_extrema(result.f_F):
         raise InternalInvariantError("split broke the min/max correspondence")
 
 
@@ -179,27 +165,35 @@ def split_for_cover(X: Poset, u1: NodeId, u2: NodeId) -> SplitResult:
     is nothing to split and X itself comes back with identity maps.
 
     F and f_F come from ``_split_by_rank``, which names F's nodes by chain
-    rank without listing any chain. This function checks them (X is the
-    gluing of F along u1's copies, those copies are minimal, the one under
-    u2 has u2 as its unique cover, and minima and maxima lift), then adds
-    the chain sum and the map t_F from it, so it lists every maximal chain
-    of X. The decompose hot path calls ``_split_by_rank`` directly and
-    leaves the split to the script's checks.
+    rank without listing any chain. This function checks what is particular
+    to a split (u1's copies are minimal, and the one under u2 has u2 as its
+    unique cover), then adds the chain sum and the map t_F from it, so it
+    lists every maximal chain of X, and ends in ``_check_split``. The
+    decompose hot path calls ``_split_by_rank`` directly and leaves the
+    split to the script's checks.
     """
     F, f_F = _split_by_rank(X, u1, u2)
-    _check_split_for_cover(X, F, f_F, u1, u2)
+    copies = f_F.fiber(u1)
+    if not copies <= F.min_nodes():
+        raise InternalInvariantError("split fiber escaped the minima")
+    for v1 in sorted(copies):
+        for v2 in sorted(f_F.fiber(u2)):
+            if F.leq(v1, v2) and F.upper_covers(v1) != {v2}:
+                raise InternalInvariantError(
+                    f"{v2!r} is not the unique cover of split copy {v1!r}"
+                )
     cd = chain_decomposition(X)
     # every node of X but u1 has one id in F; u1's copies are told apart by
     # the image of their single cover
     own = {x: v for v, x in f_F.assignment.items() if x != u1}
-    copy = {f_F(w): v for v in f_F.fiber(u1) for w in F.upper_covers(v)}
+    copy = {f_F(w): v for v in copies for w in F.upper_covers(v)}
     t_assignment = {}
     for chain in cd.chains:
         for d in chain:
             x = cd.phi(d)
             t_assignment[d] = copy[cd.phi(chain[1])] if x == u1 else own[x]
     result = SplitResult(F, PosetMap(cd.D, F, t_assignment), f_F)
-    _check_min_max_lift(cd, result)
+    _check_split(cd, result)
     return result
 
 
@@ -297,26 +291,3 @@ def _first_chain_through(x, roots, succ, count, up, floor: int):
             return max(base, floor), len(frames) - 1
         frames.append([succ[c], 0, base])
     return None
-
-
-def _check_split_for_cover(X: Poset, F: Poset, f_F: PosetMap, u1: NodeId, u2: NodeId) -> None:
-    mins, maxs = X.min_nodes(), X.max_nodes()
-    lifted_min = frozenset(v for v, x in f_F.assignment.items() if x in mins)
-    lifted_max = frozenset(v for v, x in f_F.assignment.items() if x in maxs)
-    if F.min_nodes() != lifted_min or F.max_nodes() != lifted_max:
-        raise InternalInvariantError("split broke the min/max correspondence")
-    u1_pre = f_F.fiber(u1)
-    report = verify_gluing(F, X, f_F, (u1_pre,))
-    if not report:
-        raise InternalInvariantError(f"X is not a gluing of F along the split fiber: {report.reason}")
-    witness = GluingWitness(F, X, f_F, (u1_pre,))
-    if not is_height_zero_gluing(witness):
-        raise InternalInvariantError("split fiber escaped the minima")
-    for v1 in sorted(u1_pre):
-        for v2 in sorted(f_F.fiber(u2)):
-            if not F.leq(v1, v2):
-                continue
-            if F.upper_covers(v1) != {v2}:
-                raise InternalInvariantError(
-                    f"{v2!r} is not the unique cover of split copy {v1!r}"
-                )

@@ -96,9 +96,6 @@ def cmd_glue(args) -> int:
     X = _load_poset(args.poset)
     collection = [part.split(",") for part in args.along]
     witness = gluing.glue_along_collection(X, collection)
-    report = gluing.verify_gluing(X, witness.target, witness.map, witness.collection)
-    if not report:
-        raise InternalInvariantError(f"constructed gluing failed verification: {report.reason}")
     obj = {
         "version": documents.FORMAT_VERSION,
         "target": documents.poset_to_obj(witness.target),
@@ -164,7 +161,8 @@ def _wrap_count(token: str) -> int:
 
 
 def _parse_wrap(text: str) -> WrapOptions:
-    single_max = True
+    """Wrap options from the --wrap list; `single-max` is accepted and
+    changes nothing, since the fresh top is always added."""
     single_min = False
     min_height = 0
     min_dim = 0
@@ -174,8 +172,8 @@ def _parse_wrap(text: str) -> WrapOptions:
             if not token:
                 continue
             if token == "single-max":
-                single_max = True
-            elif token == "single-min":
+                continue
+            if token == "single-min":
                 single_min = True
             elif token.startswith("min-height="):
                 min_height = _wrap_count(token)
@@ -183,7 +181,7 @@ def _parse_wrap(text: str) -> WrapOptions:
                 min_dim = _wrap_count(token)
             else:
                 raise InputError(f"unknown wrap option {token!r}")
-    return WrapOptions(single_max, single_min, min_height, min_dim)
+    return WrapOptions(single_min, min_height, min_dim)
 
 
 def cmd_decompose(args) -> int:
@@ -254,7 +252,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="emit a growth script reaching the poset from a point")
     p.add_argument("poset")
-    p.add_argument("--wrap", default="", metavar="OPTS", help="single-max,single-min,min-height=N,min-dim=N")
+    p.add_argument(
+        "--wrap",
+        default="",
+        metavar="OPTS",
+        help="single-min,min-height=N,min-dim=N (a fresh top is always added; single-max is a no-op)",
+    )
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("replay", help="re-execute and certify a growth script")

@@ -173,11 +173,12 @@ def _fresh_ids(prefix: str, n: int, used: frozenset[NodeId]) -> list[NodeId]:
 def m_count(F: Poset, x: NodeId) -> int:
     """Minimal nodes strictly below x for which x is not the unique cover."""
     F._check_node(x)
-    return sum(
-        1
-        for u in F.min_nodes()
-        if F.lt(u, x) and F.upper_covers(u) != {x}
-    )
+    return len(_shared_minima(F, x))
+
+
+def _shared_minima(F: Poset, x: NodeId) -> list[NodeId]:
+    """The nodes ``m_count`` counts, in ascending order."""
+    return sorted(u for u in F.min_nodes() if F.lt(u, x) and F.upper_covers(u) != {x})
 
 
 @dataclass(frozen=True)
@@ -208,10 +209,12 @@ def gextension_step(F1: Poset) -> GExtension:
 
     Pivot: the least height-one node on a maximal-length chain. While some
     minimal node under the pivot has another cover, split the least such node;
-    the shared-minima count strictly drops each round. Then retract the
-    pivot's down-set. Only preconditions and termination are checked here:
-    the splits' preconditions and the pivot's unique lift (``_split_by_rank``
-    does not check its result), and the retraction's pivot and unique covers
+    the shared-minima count strictly drops each round. The shared minima are
+    listed once per round: the pivot has height one, so the minimal nodes
+    under it are the ones it covers. Then retract the pivot's down-set.
+    Only preconditions and termination are checked here: the splits'
+    preconditions and the pivot's unique lift (``_split_by_rank`` does not
+    check its result), and the retraction's pivot and unique covers
     (``_retraction``, which skips ``validate``). The elevation that undoes
     the retraction and the accumulated gluing h are verified, renamed, when
     ``_run_steps`` executes the script's elevate and glue steps, and
@@ -225,23 +228,20 @@ def gextension_step(F1: Poset) -> GExtension:
     F = F1
     y = _pivot(F1)
     h = identity_map(F1)
-    m = m_count(F, y)
-    while m > 0:
-        u = min(
-            u
-            for u in F.min_nodes()
-            if F.is_cover(u, y) and F.upper_covers(u) != {y}
-        )
-        F, f_F = _split_by_rank(F, u, y)
+    shared = _shared_minima(F, y)
+    while shared:
+        F, f_F = _split_by_rank(F, shared[0], y)
         y_fiber = f_F.fiber(y)
         if len(y_fiber) != 1:
             raise InternalInvariantError(f"pivot {y!r} did not lift uniquely")
         y = min(y_fiber)
         h = compose(f_F, h)
-        m_new = m_count(F, y)
-        if m_new >= m:
-            raise InternalInvariantError(f"shared-minima count failed to drop: {m} -> {m_new}")
-        m = m_new
+        m = len(shared)
+        shared = _shared_minima(F, y)
+        if len(shared) >= m:
+            raise InternalInvariantError(
+                f"shared-minima count failed to drop: {m} -> {len(shared)}"
+            )
         if F.height(y) != 1 or not F.on_maximal_length_chain(y):
             raise InternalInvariantError("pivot left the maximal-length chains while splitting")
 
@@ -304,7 +304,8 @@ def reduce_dimension(F1: Poset) -> list[Poset]:
 
 @dataclass(frozen=True)
 class WrapOptions:
-    single_max: bool = True
+    """Padding beyond the fresh top ``wrap`` always adds."""
+
     single_min: bool = False
     min_height: int = 0
     min_dim: int = 0
@@ -319,10 +320,11 @@ class WrapOptions:
 def wrap(X: Poset, options: WrapOptions) -> tuple[Poset, PosetMap]:
     """Embed X as a saturated subset of a padded poset K.
 
-    Optional moves, each preserving saturation of the inclusion: a chain of
-    length min_height under every original minimal node, a single fresh
-    bottom under everything, a single fresh top over everything, and a
-    trailing chain below the least minimum until dim K >= min_dim.
+    A single fresh top over everything is always added. The optional
+    moves are a chain of length min_height under every original minimal
+    node, a single fresh bottom under everything, and a trailing chain below
+    the least minimum until dim K >= min_dim. The inclusion is checked to be
+    a saturated embedding, which makes X's image a saturated subset of K.
     """
     if not X.nodes:
         raise EmptyPoset("cannot wrap the empty poset")
@@ -361,11 +363,10 @@ def wrap(X: Poset, options: WrapOptions) -> tuple[Poset, PosetMap]:
         for m in minima():
             covers.add((bot, m))
         nodes.add(bot)
-    if options.single_max:
-        top = fresh()
-        for m in maxima():
-            covers.add((m, top))
-        nodes.add(top)
+    top = fresh()
+    for m in maxima():
+        covers.add((m, top))
+    nodes.add(top)
 
     K = build(nodes, covers)
     deficit = options.min_dim - K.dim()
@@ -376,8 +377,6 @@ def wrap(X: Poset, options: WrapOptions) -> tuple[Poset, PosetMap]:
     inclusion = inclusion_map(X, K)
     if not morphism.is_saturated_embedding(inclusion):
         raise InternalInvariantError("padding broke the saturated inclusion")
-    if not morphism.is_saturated_subset(K, X.nodes):
-        raise InternalInvariantError("padding broke saturation of the image")
     if options.min_height > 0 and any(K.height(x) < options.min_height for x in X.nodes):
         raise InternalInvariantError("height padding fell short")
     if K.dim() < options.min_dim:
@@ -429,8 +428,8 @@ def decompose_to_point(
 ) -> ConstructionScript:
     """Tear X down to a point and certify the forward script.
 
-    X is first padded to K (a single fresh maximum is always added so the
-    terminal poset is a point), then G-extension steps run until dimension
+    X is first padded to K (``wrap`` always adds a single fresh maximum, so
+    the terminal poset is a point), then G-extension steps run until dimension
     zero. The reversed run is translated into elevate/glue recipes with
     canonical ids, without building any poset; identity gluings are dropped.
     The recipes are then executed by the step loop ``replay`` uses, which
@@ -440,11 +439,7 @@ def decompose_to_point(
     """
     if not X.nodes:
         raise EmptyPoset("cannot decompose the empty poset")
-    if options is None:
-        options = WrapOptions()
-    if not options.single_max:
-        options = WrapOptions(True, options.single_min, options.min_height, options.min_dim)
-    K, _ = wrap(X, options)
+    K, _ = wrap(X, options or WrapOptions())
 
     backward: list[GExtension] = []
     current = K

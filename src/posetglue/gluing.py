@@ -7,11 +7,15 @@ the members are down-sets (height-zero gluings and retractions) the quotient
 is derived from the source's up-sets by ``core._glued``; other complete
 members are built once from the image of the cover relation.
 ``glue_along_complete`` is its one-member case, with its own input checks and
-messages. ``verify_gluing`` certifies an arbitrary (X, Y, g, collection)
-claim by its pointwise checks, then rebuilds the canonical quotient and
-checks that the comparison map carries its covers onto Y's, which pins the
-claim up to unique iso. It serves CLI ``glue``, ``split_for_cover`` and
-``ElevationWitness.validate``. The step loop's glue steps are height-zero
+messages. CLI ``glue`` prints ``glue_along_collection``'s result as built:
+``verify_gluing`` would rebuild the same quotient with the same code.
+``verify_gluing`` certifies an arbitrary (X, Y, g, collection) claim by its
+pointwise checks, then rebuilds the canonical quotient and checks that the
+comparison map carries its covers onto Y's, which pins the claim up to
+unique iso. It checks the gluing claims other code makes:
+``chain_decomposition`` (X is a gluing of the chain sum),
+``chains._check_split`` (X is a gluing of a split F, on both split paths)
+and ``ElevationWitness.validate``. The step loop's glue steps are height-zero
 gluings, whose quotient has a closed form; ``_verify_height_zero_quotient``
 checks ``core._glued``'s result against that form from the source's up-sets
 and covers, so the code that checks a glue step is not the code that made it.

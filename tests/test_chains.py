@@ -6,9 +6,11 @@ import pytest
 
 from posetglue import (
     EmptyPoset,
+    InternalInvariantError,
     NotACover,
     NotASubcollection,
     NotMinimal,
+    PosetMap,
     build,
     chain_decomposition,
     find_isomorphism,
@@ -18,6 +20,7 @@ from posetglue import (
     verify_gluing,
     verify_min_max_lifting,
 )
+from posetglue.chains import SplitResult, _check_split
 from posetglue.generate import random_poset
 
 
@@ -164,6 +167,19 @@ class TestSplitForCover:
         result = split_for_cover(diamond, "6", "2")
         iso = find_isomorphism(result.F, diamond_split)
         assert iso is not None and is_isomorphism(iso)
+
+    def test_t_F_with_swapped_copies_is_rejected(self, diamond):
+        # swapping u1's two copies keeps f_F . t_F = phi and every lift; only
+        # the order check on t_F sees that a chain now climbs from the wrong copy
+        cd = chain_decomposition(diamond)
+        result = split_for_cover(diamond, "6", "2")
+        a, b = sorted(result.f_F.fiber("6"))
+        swap = {a: b, b: a}
+        swapped = {d: swap.get(v, v) for d, v in result.t_F.assignment.items()}
+        bad = SplitResult(result.F, PosetMap(cd.D, result.F, swapped), result.f_F)
+        _check_split(cd, result)
+        with pytest.raises(InternalInvariantError, match="t_F is not order-preserving"):
+            _check_split(cd, bad)
 
     def test_not_minimal_rejected(self, diamond):
         with pytest.raises(NotMinimal):

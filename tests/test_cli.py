@@ -173,6 +173,12 @@ class TestDecomposeReplay:
         script = parse_script(out)
         assert script.final.dim() >= 3
 
+    def test_wrap_single_max_changes_nothing(self, capsys):
+        # the fresh top is always added; the token stays accepted
+        plain = run(capsys, "decompose", fx("x9.poset"))
+        assert run(capsys, "decompose", fx("x9.poset"), "--wrap", "single-max") == plain
+        assert plain[0] == 0
+
     def test_fixture_script_replays(self, capsys, x9):
         code, out = run(capsys, "replay", fx("x9-build.script"))
         assert code == 0

@@ -283,20 +283,20 @@ class TestReduceDimension:
 class TestWrap:
     def test_point_single_max(self):
         P = build(["p"], [])
-        K, f = wrap(P, WrapOptions(single_max=True))
+        K, f = wrap(P, WrapOptions())
         assert len(K.nodes) == 2
         assert K.dim() == 1
 
     def test_single_max_adds_exactly_one_node_even_if_present(self, diamond):
         # diamond already has one maximal node; the fresh top is still added
-        K, f = wrap(diamond, WrapOptions(single_max=True))
+        K, f = wrap(diamond, WrapOptions())
         assert len(K.nodes) == len(diamond.nodes) + 1
         assert len(K.max_nodes()) == 1
 
     def test_x9_full_padding(self, x9):
         K, f = wrap(
             x9,
-            WrapOptions(single_max=True, single_min=True, min_height=2, min_dim=3),
+            WrapOptions(single_min=True, min_height=2, min_dim=3),
         )
         assert len(K.nodes) >= 12
         assert len(K.max_nodes()) == 1
@@ -308,13 +308,13 @@ class TestWrap:
 
     def test_min_dim_padding(self):
         P = build(["p"], [])
-        K, f = wrap(P, WrapOptions(single_max=True, min_dim=4))
+        K, f = wrap(P, WrapOptions(min_dim=4))
         assert K.dim() >= 4
 
     @pytest.mark.parametrize("seed", range(15))
     def test_inclusion_saturated_on_random_posets(self, seed):
         X = random_poset(seed, 6, 0.35)
-        K, f = wrap(X, WrapOptions(single_max=True, single_min=True, min_height=2, min_dim=3))
+        K, f = wrap(X, WrapOptions(single_min=True, min_height=2, min_dim=3))
         assert is_saturated_embedding(f)
         assert is_saturated_subset(K, f.image())
 
@@ -353,11 +353,6 @@ class TestDecomposeToPoint:
         assert is_saturated_subset(final, image)
         tracked = PosetMap(x9, final, script.embedding)
         assert is_saturated_embedding(tracked)
-
-    def test_single_max_is_forced(self, vee):
-        script = decompose_to_point(vee, WrapOptions(single_max=False))
-        final, _ = replay(script)
-        assert len(final.max_nodes()) == 1
 
     def test_adversarial_input_ids(self):
         # input ids shaped like the generated ones must not collide

@@ -104,7 +104,7 @@ class TestSaturatedEmbedding:
         assert saturation_violation(f) == ("a", "b")
 
     def test_inclusion_into_single_top_extension(self, x9):
-        K, inclusion = wrap(x9, WrapOptions(single_max=True))
+        K, inclusion = wrap(x9, WrapOptions())
         assert is_saturated_embedding(inclusion)
 
     def test_requires_embedding(self):
@@ -132,7 +132,7 @@ class TestSaturatedSubset:
         assert not is_saturated_subset(chain("a", "b", "c"), {"a", "c"})
 
     def test_image_of_saturated_embedding(self, x9):
-        K, inclusion = wrap(x9, WrapOptions(single_max=True, single_min=True))
+        K, inclusion = wrap(x9, WrapOptions(single_min=True))
         assert is_saturated_subset(K, inclusion.image())
 
 
@@ -186,7 +186,7 @@ class TestSaturationBothWays:
     @pytest.mark.parametrize("seed", range(15))
     def test_cover_iff_image_cover(self, seed):
         X = random_poset(seed, 5, 0.4)
-        K, f = wrap(X, WrapOptions(single_max=True, min_height=1))
+        K, f = wrap(X, WrapOptions(min_height=1))
         assert is_saturated_embedding(f)
         for a in X.nodes:
             for b in X.nodes:
@@ -195,14 +195,14 @@ class TestSaturationBothWays:
     @pytest.mark.parametrize("seed", range(15))
     def test_image_is_saturated_subset(self, seed):
         X = random_poset(seed, 6, 0.35)
-        K, f = wrap(X, WrapOptions(single_max=True, single_min=True))
+        K, f = wrap(X, WrapOptions(single_min=True))
         assert is_saturated_subset(K, f.image())
 
     @pytest.mark.parametrize("seed", range(15))
     def test_composition_of_saturated_embeddings(self, seed):
         X = random_poset(seed, 5, 0.4)
-        K1, f = wrap(X, WrapOptions(single_max=True))
-        K2, g = wrap(K1, WrapOptions(single_max=False, single_min=True, min_height=1))
+        K1, f = wrap(X, WrapOptions())
+        K2, g = wrap(K1, WrapOptions(single_min=True, min_height=1))
         h = compose(f, g)
         assert is_saturated_embedding(f)
         assert is_saturated_embedding(g)

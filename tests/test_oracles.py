@@ -875,7 +875,7 @@ def section_maps(P):
         if retractable(P, z):
             w = retract(P, z)
             yield from (w.e, w.r)
-    for options in (WrapOptions(), WrapOptions(True, True, 2, 0)):
+    for options in (WrapOptions(), WrapOptions(single_min=True, min_height=2)):
         yield wrap(P, options)[1]
 
 

@@ -4,7 +4,8 @@ They check with an explicit test, not ``assert``, so the check also runs
 under ``python -O``, and catch a failed replay instead of printing a
 traceback. Each test loads a script as a module and patches its check or
 ``replay`` to fail. A bad argument is exit 2, not the exit 1 of a failed
-certificate.
+certificate. The sweep's script digest over all posets on up to 6 nodes is
+pinned, so any change in the bytes ``decompose`` emits fails here.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ def sweep(monkeypatch):
 def test_sweep_exits_zero_when_every_certificate_verifies(sweep, capsys):
     assert sweep.main() == 0
     assert "all certificates verified" in capsys.readouterr().out
+
+
+# SHA-256 over the emitted scripts of all 405 posets on up to 6 nodes
+N6_SCRIPT_SHA256 = "4e98101578426fbbdc84bc89f3fbbf9da862bba87eb54558237c4393256b4e6d"
+
+
+def test_sweep_prints_the_pinned_script_digest(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["sweep_small_posets.py", "6"])
+    assert load_script("sweep_small_posets").main() == 0
+    assert f"script sha256: {N6_SCRIPT_SHA256}" in capsys.readouterr().out.splitlines()
 
 
 def test_sweep_exits_one_and_names_the_poset_when_a_certificate_fails(
