@@ -76,18 +76,16 @@ def cmd_verify_embedding(args) -> int:
     Y = _load_poset(args.target)
     assignment = documents.parse_map(_read(args.map))
     f = PosetMap(X, Y, assignment)
-    if not morphism.is_poset_map(f):
-        _write(f"poset map: no (violating cover {morphism.poset_map_violation(f)})\n")
-        return EXIT_VERIFICATION
-    _write("poset map: yes\n")
-    if not morphism.is_embedding(f):
-        _write(f"embedding: no (violating pair {morphism.embedding_violation(f)})\n")
-        return EXIT_VERIFICATION
-    _write("embedding: yes\n")
-    if not morphism.is_saturated_embedding(f):
-        _write(f"saturated embedding: no (violating cover {morphism.saturation_violation(f)})\n")
-        return EXIT_VERIFICATION
-    _write("saturated embedding: yes\n")
+    for rung, scan, witness in (
+        ("poset map", morphism.poset_map_violation, "cover"),
+        ("embedding", morphism._reflection_violation, "pair"),
+        ("saturated embedding", morphism._cover_violation, "cover"),
+    ):
+        pair = scan(f)
+        if pair is not None:
+            _write(f"{rung}: no (violating {witness} {pair})\n")
+            return EXIT_VERIFICATION
+        _write(f"{rung}: yes\n")
     _write(f"isomorphism: {'yes' if f.is_surjective() else 'no'}\n")
     return EXIT_OK
 

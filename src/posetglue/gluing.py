@@ -224,10 +224,9 @@ def induced_map(w: GluingWitness, h: PosetMap) -> PosetMap:
     """The unique map phi with phi . g = h, for h compatible with w.map."""
     if h.source != w.source:
         raise UnknownNode("h must start at the gluing's source")
-    if not morphism.is_poset_map(h):
-        raise NotPosetMap(
-            f"h is not order-preserving at {morphism.poset_map_violation(h)!r}"
-        )
+    pair = morphism.poset_map_violation(h)
+    if pair is not None:
+        raise NotPosetMap(f"h is not order-preserving at {pair!r}")
     pair = compatibility_violation(w.map, h)
     if pair is not None:
         raise NotCompatible(
@@ -238,13 +237,11 @@ def induced_map(w: GluingWitness, h: PosetMap) -> PosetMap:
     # nodes are sorted, so the last write for each class is its least member
     least = {w.map(x): x for x in reversed(w.source.nodes)}
     assignment = {y: h(least[y]) for y in w.target.nodes}
+    # h is constant on each fiber of w.map, so phi . w.map = h by construction
     phi = PosetMap(w.target, h.target, assignment)
-    if not morphism.is_poset_map(phi):
-        raise InternalInvariantError(
-            f"induced map is not order-preserving at {morphism.poset_map_violation(phi)!r}"
-        )
-    if any(phi(w.map(x)) != h(x) for x in w.source.nodes):
-        raise InternalInvariantError("induced map does not factor the given map")
+    pair = morphism.poset_map_violation(phi)
+    if pair is not None:
+        raise InternalInvariantError(f"induced map is not order-preserving at {pair!r}")
     return phi
 
 
@@ -267,8 +264,9 @@ def verify_gluing(
         g = PosetMap(X, Y, g)
     if g.source != X or g.target != Y:
         return GluingReport(False, "map endpoints do not match the claimed posets")
-    if not morphism.is_poset_map(g):
-        return GluingReport(False, "not a poset map", morphism.poset_map_violation(g))
+    pair = morphism.poset_map_violation(g)
+    if pair is not None:
+        return GluingReport(False, "not a poset map", pair)
     if not g.is_surjective():
         return GluingReport(False, "gluing map must be surjective")
 

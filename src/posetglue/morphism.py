@@ -3,8 +3,10 @@
 poset map -> embedding -> saturated embedding -> isomorphism. Each level has
 a ``*_violation`` function returning a concrete witness (or None), so failed
 certificates can say which pair broke; the ``is_*`` predicates delegate to
-those. The verifiers read the posets' up-sets and the assignment directly:
-a ``PosetMap`` has already checked every id it holds.
+those. Each rung's scan (``poset_map_violation``, ``_reflection_violation``,
+``_cover_violation``) checks no preconditions: a ``*_violation`` runs the rung
+below once and raises from its result, and a verifier walking the ladder
+calls the three in turn. They read up-sets directly; ``PosetMap`` checked ids.
 
 Set algebra decides, scans name witnesses. ``PosetMap`` totality, the
 embedding test and the saturated-subset test first answer "no violation"
@@ -97,10 +99,8 @@ def is_poset_map(f: PosetMap) -> bool:
     return poset_map_violation(f) is None
 
 
-def embedding_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
-    """A pair with f(x) <= f(y) but not x <= y, or None. Requires a poset map."""
-    if not is_poset_map(f):
-        raise NotPosetMap(f"not a poset map: cover {poset_map_violation(f)!r} collapses order")
+def _reflection_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
+    """A pair with f(x) <= f(y) but not x <= y, or None; f must be a poset map."""
     nodes, source_up, target_up, g = f.source.nodes, f.source._up, f.target._up, f.assignment
     # An injective poset map sends up(x) into up(g x) & image; it reflects
     # order iff nothing else lands there, i.e. iff the sizes match. A shared
@@ -119,18 +119,32 @@ def embedding_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
     return None
 
 
+def _cover_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
+    """A source cover whose image is not a cover, or None; f must be an embedding."""
+    for a, b in sorted(f.source.covers):
+        if not f.target.is_cover(f(a), f(b)):
+            return (a, b)
+    return None
+
+
+def embedding_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
+    """A pair with f(x) <= f(y) but not x <= y, or None. Requires a poset map."""
+    pair = poset_map_violation(f)
+    if pair is not None:
+        raise NotPosetMap(f"not a poset map: cover {pair!r} collapses order")
+    return _reflection_violation(f)
+
+
 def is_embedding(f: PosetMap) -> bool:
     return embedding_violation(f) is None
 
 
 def saturation_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
     """A source cover whose image is not a cover, or None. Requires an embedding."""
-    if not is_embedding(f):
-        raise NotEmbedding(f"not an embedding: order reflection fails at {embedding_violation(f)!r}")
-    for a, b in sorted(f.source.covers):
-        if not f.target.is_cover(f(a), f(b)):
-            return (a, b)
-    return None
+    pair = embedding_violation(f)
+    if pair is not None:
+        raise NotEmbedding(f"not an embedding: order reflection fails at {pair!r}")
+    return _cover_violation(f)
 
 
 def is_saturated_embedding(f: PosetMap) -> bool:
@@ -138,8 +152,9 @@ def is_saturated_embedding(f: PosetMap) -> bool:
 
 
 def is_isomorphism(f: PosetMap) -> bool:
-    if not is_embedding(f):
-        raise NotEmbedding(f"not an embedding: order reflection fails at {embedding_violation(f)!r}")
+    pair = embedding_violation(f)
+    if pair is not None:
+        raise NotEmbedding(f"not an embedding: order reflection fails at {pair!r}")
     return f.is_surjective()
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetglue import find_isomorphism
+from posetglue import build, find_isomorphism
 from posetglue.cli import main
 from posetglue.documents import emit_poset, emit_script, parse_poset, parse_script
 
@@ -90,6 +90,50 @@ class TestVerifyEmbedding:
         code, out = run(capsys, "verify-embedding", str(src), fx("diamond.poset"), str(mp))
         assert code == 1
         assert "saturated embedding: no" in out
+
+    # the report stops at the first rung that fails; stdout is pinned byte for byte
+    @pytest.mark.parametrize(
+        "covers, assignment, expected",
+        [
+            (
+                [("a", "b")],
+                {"a": "1", "b": "6"},
+                "poset map: no (violating cover ('a', 'b'))\n",
+            ),
+            (
+                [],
+                {"a": "6", "b": "1"},
+                "poset map: yes\nembedding: no (violating pair ('a', 'b'))\n",
+            ),
+            (
+                [("a", "b")],
+                {"a": "6", "b": "4"},
+                "poset map: yes\nembedding: yes\n"
+                "saturated embedding: no (violating cover ('a', 'b'))\n",
+            ),
+            (
+                [("a", "b")],
+                {"a": "6", "b": "5"},
+                "poset map: yes\nembedding: yes\nsaturated embedding: yes\nisomorphism: no\n",
+            ),
+            (
+                [("a", "b"), ("a", "c"), ("b", "d"), ("c", "e"), ("d", "e")],
+                {"a": "6", "b": "5", "c": "2", "d": "4", "e": "1"},
+                "poset map: yes\nembedding: yes\nsaturated embedding: yes\nisomorphism: yes\n",
+            ),
+        ],
+        ids=["poset-map", "embedding", "saturated", "not-iso", "iso"],
+    )
+    def test_report_is_pinned(self, capsys, tmp_path, covers, assignment, expected):
+        from posetglue.documents import emit_map
+
+        src = tmp_path / "src.poset"
+        src.write_text(emit_poset(build(sorted(assignment), covers)))
+        mp = tmp_path / "f.map"
+        mp.write_text(emit_map(assignment))
+        code, out = run(capsys, "verify-embedding", str(src), fx("diamond.poset"), str(mp))
+        assert out == expected
+        assert code == (1 if ": no (" in expected else 0)
 
 
 class TestGlue:
@@ -172,6 +216,20 @@ class TestDecomposeReplay:
         assert code == 0
         script = parse_script(out)
         assert script.final.dim() >= 3
+
+    # the dimension chain hangs under a minimum that starts a longest chain;
+    # under the least minimum these fell short and exited 3
+    @pytest.mark.parametrize(
+        "name, dim", [("gext-f3.poset", 4), ("diamond-split.poset", 6), ("gext-z.poset", 6)]
+    )
+    def test_wrap_min_dim_reaches_the_dimension(self, capsys, tmp_path, name, dim):
+        code, out = run(capsys, "decompose", fx(name), "--wrap", f"min-dim={dim}")
+        assert code == 0
+        assert parse_script(out).final.dim() == dim
+        script = tmp_path / "padded.script"
+        script.write_text(out)
+        code, _ = run(capsys, "replay", str(script))
+        assert code == 0
 
     def test_wrap_single_max_changes_nothing(self, capsys):
         # the fresh top is always added; the token stays accepted

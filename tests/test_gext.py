@@ -44,7 +44,7 @@ from posetglue import (
     verify_gluing,
     wrap,
 )
-from posetglue import chains, core, gext
+from posetglue import chains, core, gext, morphism
 from posetglue.cli import main
 from posetglue.core import Poset
 from posetglue.documents import emit_script, parse_script
@@ -311,10 +311,27 @@ class TestWrap:
         K, f = wrap(P, WrapOptions(min_dim=4))
         assert K.dim() >= 4
 
-    @pytest.mark.parametrize("seed", range(15))
-    def test_inclusion_saturated_on_random_posets(self, seed):
+    # wrap checks nothing at runtime, so these cases carry its guarantees.
+    # Without single_min, the least minimum need not start a longest chain:
+    # seeds 3, 4, 5, 9 and 14 fell short of min_dim=8 when the dimension
+    # chain hung under it.
+    @pytest.mark.parametrize(
+        "seed, options",
+        [
+            pytest.param(seed, WrapOptions(single_min=True, min_height=2, min_dim=3), id=str(seed))
+            for seed in range(15)
+        ]
+        + [
+            pytest.param(seed, WrapOptions(min_height=2, min_dim=8), id=f"min-dim-8-{seed}")
+            for seed in range(15)
+        ],
+    )
+    def test_inclusion_saturated_on_random_posets(self, seed, options):
         X = random_poset(seed, 6, 0.35)
-        K, f = wrap(X, WrapOptions(single_min=True, min_height=2, min_dim=3))
+        K, f = wrap(X, options)
+        padded = X.dim() + options.min_height + options.single_min + 1
+        assert K.dim() == max(padded, options.min_dim)
+        assert all(K.height(x) >= options.min_height for x in X.nodes)
         assert is_saturated_embedding(f)
         assert is_saturated_subset(K, f.image())
 
@@ -789,6 +806,65 @@ class TestReplay:
         )
         with pytest.raises(BrokenEmbedding):
             replay(doctored)
+
+    # The 2-chain a < b decomposes to the chain q2.0 < q1.0 < p0, with a at
+    # q2.0 and b at q1.0. Each doctored script fails one certificate branch.
+    @pytest.mark.parametrize(
+        "source, embedding, message, pair",
+        [
+            (
+                "chain",
+                {"a": "q2.0", "b": "zz"},
+                "embedding lands outside the final poset: ['zz']",
+                None,
+            ),
+            (
+                "chain",
+                {"a": "q2.0", "c": "q1.0"},
+                "embedding keys are not the source nodes: missing ['b'], extra ['c']",
+                None,
+            ),
+            ("chain", {"a": "q1.0", "b": "q2.0"}, "tracked map does not preserve order", ("a", "b")),
+            ("antichain", {"a": "q2.0", "b": "q1.0"}, "tracked map does not reflect order", ("a", "b")),
+            ("chain", {"a": "q2.0", "b": "p0"}, "tracked map drops a cover", ("a", "b")),
+            (None, {"a": "q2.0", "b": "p0"}, "embedded image is not saturated", ("q2.0", "p0")),
+        ],
+        ids=["outside", "keys", "order", "reflection", "cover", "saturated"],
+    )
+    def test_each_certificate_branch_is_pinned(self, source, embedding, message, pair):
+        script = decompose_to_point(chain("a", "b"))
+        sources = {"chain": script.source, "antichain": build(["a", "b"], []), None: None}
+        doctored = replace(script, embedding=embedding, source=sources[source])
+        with pytest.raises(BrokenEmbedding) as info:
+            replay(doctored)
+        assert str(info.value) == message
+        assert info.value.pair == pair
+
+    def test_certificate_scans_each_rung_once(self, x9, monkeypatch):
+        script = decompose_to_point(x9)
+        tracked = PosetMap(x9, script.final, script.embedding)
+        calls = {}
+        scans = ("poset_map_violation", "_reflection_violation", "_cover_violation")
+        for name in scans + ("saturated_subset_violation",):
+            def counted(*args, _name=name, _scan=getattr(morphism, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _scan(*args)
+
+            monkeypatch.setattr(morphism, name, counted)
+        # with a source, the saturated embedding implies the saturated image
+        for check in (
+            lambda: gext._verify_certificate(script, script.final),
+            lambda: morphism.saturation_violation(tracked),
+        ):
+            calls.clear()
+            check()
+            assert calls == dict.fromkeys(scans, 1)
+        calls.clear()
+        gext._verify_certificate(replace(script, source=None), script.final)
+        assert calls == {"saturated_subset_violation": 1}
+        calls.clear()
+        assert morphism.embedding_violation(tracked) is None
+        assert calls == dict.fromkeys(scans[:2], 1)
 
 
 def crown(n):
