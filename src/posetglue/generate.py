@@ -1,12 +1,12 @@
 """Seeded poset generators and the small-poset enumerator.
 
 ``random_poset`` drives the property suites and the CLI; everything is a pure
-function of its arguments. ``all_posets_upto_iso`` generates every poset on
+function of its arguments. ``iter_posets_upto_iso`` streams every poset on
 n nodes once per isomorphism class by orderly generation (Read, "Every one a
 winner", Ann. Discrete Math. 2, 1978): it builds each class's least natural
-labelling directly and never compares two posets. ``count_closed_relations``
-scans all 2^C(n,2) relations instead, so the test suite keeps two
-independent books on the class count.
+labelling directly and never compares two posets; ``all_posets_upto_iso``
+lists it. ``count_closed_relations`` scans all 2^C(n,2) relations instead,
+so the test suite keeps two independent books on the class count.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import random
 from itertools import combinations, permutations
+from typing import Iterator
 
 from .core import Poset, build
 from .errors import InputError
@@ -110,9 +111,9 @@ def _up_closed_subsets(up: tuple[int, ...]):
     return subsets
 
 
-def all_posets_upto_iso(n: int) -> list[Poset]:
+def iter_posets_upto_iso(n: int) -> Iterator[Poset]:
     """One representative per isomorphism class: each class's least-mask
-    natural labelling, in increasing mask order.
+    natural labelling, in increasing mask order, each built when reached.
 
     A natural labelling is a transitive relation inside 0 < ... < n-1, and
     its mask sets bit k for the k-th pair of ``combinations(range(n), 2)``.
@@ -142,12 +143,15 @@ def all_posets_upto_iso(n: int) -> list[Poset]:
         raise InputError(f"n needs an integer, got {n!r}")
     if n < 0:
         raise InputError("n must be nonnegative")
-    if n == 0:
-        return []
-    return [
+    return (
         _as_poset(n, frozenset((i, j) for i in range(n) for j in range(n) if up[i] >> j & 1))
-        for up in _level_rows(n)
-    ]
+        for up in (_level_rows(n) if n else ())
+    )
+
+
+def all_posets_upto_iso(n: int) -> list[Poset]:
+    """``iter_posets_upto_iso(n)`` as a list."""
+    return list(iter_posets_upto_iso(n))
 
 
 @functools.cache

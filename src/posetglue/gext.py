@@ -5,26 +5,28 @@ lower neighbors have z as their only cover) to a point; an elevation is the
 inverse move, growing fresh minima under a minimal node. One G-extension
 step = split shared minima under a pivot until each copy has a unique cover,
 retract the pivot's down-set, and remember the height-zero gluing that undoes
-the splits. Iterating to dimension zero and reversing yields a construction
-script from a single point. Steps are recipes (a target and fresh ids, or a
-partition); one step loop, ``_run_steps``, executes them, verifying every
-move, for both ``replay`` and ``decompose_to_point``, which certifies its own
-script with it before returning. The backward pass checks only the
-preconditions its moves need and that ``(dim, eta)`` decreases; it validates
-neither its retractions nor its splits. The step loop is the one checker of
-each elevation and gluing: an elevation validates its witness, and a glue
-step's quotient (``core._glued``) is checked against its closed form by
-``gluing._verify_height_zero_quotient``, which reads only the input's up-sets
-and covers and rebuilds nothing. ``decompose_to_point``'s final isomorphism
-check catches a wrong split or retraction. The certificate shows that the
-original poset sits inside the reconstruction as a saturated subset; its
-check scans each rung of the morphism ladder once. ``wrap`` checks nothing.
+the splits. ``_descend`` runs steps to dimension zero; ``decompose_to_point``
+keeps a small record per step, never its posets, and reverses the records
+into a construction script from a single point. Steps are recipes (a target
+and fresh ids, or a partition); one step loop, ``_run_steps``, executes
+them, verifying every move, for both ``replay`` and ``decompose_to_point``,
+which certifies its own script with it before returning. The backward pass
+checks only the preconditions its moves need and that ``(dim, eta)``
+decreases; it validates neither its retractions nor its splits. The step loop
+is the one checker of each elevation and gluing: an elevation validates its
+witness, and a glue step's quotient (``core._glued``) is checked against its
+closed form by ``gluing._verify_height_zero_quotient``, which reads only the
+input's up-sets and covers and rebuilds nothing. ``decompose_to_point``'s
+final isomorphism check catches a wrong split or retraction. The certificate
+shows that the original poset sits inside the reconstruction as a saturated
+subset; its check scans each rung of the morphism ladder once. ``wrap`` checks
+nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import morphism
 from .chains import _split_by_rank
@@ -274,18 +276,16 @@ def _eta(F: Poset) -> int:
     return sum(ways[x] for x, h in heights.items() if h == d)
 
 
-def _dim_eta(F: Poset) -> tuple[int, int]:
-    return F.dim(), _eta(F)
-
-
-def _check_lex_decrease(before: tuple[int, int], after: Poset) -> tuple[int, int]:
-    """``after``'s (dim, eta), which must be below ``before``, the previous
-    poset's; callers carry it into the next step, so each poset's is computed
-    once."""
-    a = _dim_eta(after)
-    if not a < before:
-        raise InternalInvariantError(f"(dim, eta) failed to decrease: {before} -> {a}")
-    return a
+def _descend(F: Poset) -> Iterator[GExtension]:
+    """G-extension steps from F to dimension zero, each lowering (dim, eta)."""
+    key = F.dim(), _eta(F)
+    while F.dim() > 0:
+        step = gextension_step(F)
+        F = step.f2
+        key, before = (F.dim(), _eta(F)), key
+        if not key < before:
+            raise InternalInvariantError(f"(dim, eta) failed to decrease: {before} -> {key}")
+        yield step
 
 
 def reduce_dimension(F1: Poset) -> list[Poset]:
@@ -295,11 +295,10 @@ def reduce_dimension(F1: Poset) -> list[Poset]:
     if F1.dim() == 0:
         raise ZeroDimensional("poset has dimension zero")
     seq = [F1]
-    key = _dim_eta(F1)
-    while seq[-1].dim() >= F1.dim():
-        step = gextension_step(seq[-1])
-        key = _check_lex_decrease(key, step.f2)
+    for step in _descend(F1):
         seq.append(step.f2)
+        if step.f2.dim() < F1.dim():
+            break
     return seq
 
 
@@ -421,9 +420,11 @@ def decompose_to_point(
 ) -> ConstructionScript:
     """Tear X down to a point and certify the forward script.
 
-    X is first padded to K (``wrap`` always adds a single fresh maximum, so
-    the terminal poset is a point), then G-extension steps run until dimension
-    zero. The reversed run is translated into elevate/glue recipes with
+    X is first padded to K (``wrap`` always adds a single fresh maximum, so the
+    terminal poset is a point), then G-extension steps run until dimension
+    zero. Each step is kept only as a record (the pivot, its class c, the
+    sorted raw fresh ids, and h's fibers and assignment if it split), never its
+    posets. The reversed records are translated into elevate/glue recipes with
     canonical ids, without building any poset; identity gluings are dropped.
     The recipes are then executed by the step loop ``replay`` uses, which
     re-verifies every move, and the result must be isomorphic to K under the
@@ -434,40 +435,34 @@ def decompose_to_point(
         raise EmptyPoset("cannot decompose the empty poset")
     K, _ = wrap(X, options or WrapOptions())
 
-    backward: list[GExtension] = []
+    records = []
     current = K
-    key = _dim_eta(K)
-    while current.dim() > 0:
-        step = gextension_step(current)
-        key = _check_lex_decrease(key, step.f2)
-        backward.append(step)
-        current = step.f2
+    for gx in _descend(K):
+        down = gx.Z.down_set(gx.pivot)
+        fibers = fiber_collection(gx.h)
+        h = gx.h.assignment if fibers else None
+        records.append((gx.pivot, min(down), sorted(down - {gx.pivot}), fibers, h))
+        current = gx.f2
     if len(current.nodes) != 1:
         raise InternalInvariantError("terminal poset is not a point despite the fresh maximum")
 
     # sigma maps raw ids of the current backward-pass poset to canonical ids;
-    # its values are the node set the forward run has reached. A glued part
-    # is named by its least id, as core._glued names it. Each
-    # backward step is dropped once used, so they are not all kept alive.
+    # e is the identity except c -> pivot; fresh ids carry their step number,
+    # which no earlier id does; a glued part is named by its least id.
     start = build(["p0"], [])
     sigma = {min(current.nodes): "p0"}
     steps: list[Step] = []
-    while backward:
-        gx = backward.pop()
-        raw_fresh = sorted(gx.Z.down_set(gx.pivot) - {gx.pivot})
-        fresh = _fresh_ids(f"q{len(steps) + 1}", len(raw_fresh), frozenset(sigma.values()))
-        steps.append(ElevateStep(target=sigma[gx.retraction.r(gx.pivot)], fresh_ids=tuple(fresh)))
-        sigma = {
-            **{z_raw: sigma[x_raw] for x_raw, z_raw in gx.e.assignment.items()},
-            **dict(zip(raw_fresh, fresh)),
-        }
-        partition = tuple(
-            sorted((frozenset(sigma[d] for d in part) for part in fiber_collection(gx.h)), key=min)
-        )
-        if partition:
+    while records:
+        pivot, c, raw_fresh, fibers, h = records.pop()
+        fresh = [f"q{len(steps) + 1}.{j}" for j in range(len(raw_fresh))]
+        steps.append(ElevateStep(target=sigma[c], fresh_ids=tuple(fresh)))
+        sigma[pivot] = sigma.pop(c)
+        sigma.update(zip(raw_fresh, fresh))
+        if fibers:
+            partition = tuple(sorted((frozenset(sigma[d] for d in p) for p in fibers), key=min))
             steps.append(GlueStep(partition=partition))
-        least = {y: min(part) for part in partition for y in part}
-        sigma = {gx.h(v): least.get(sigma[v], sigma[v]) for v in gx.Z.nodes}
+            least = {y: min(part) for part in partition for y in part}
+            sigma = {h[v]: least.get(y, y) for v, y in sigma.items()}
 
     try:
         final, _ = _run_steps(start, steps)

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -593,11 +594,74 @@ class TestOneForwardPath:
         assert captured.err.count("\n") == 1
 
     def test_own_step_mismatch_is_an_internal_error(self, monkeypatch, x9):
-        # fresh ids that are already taken make the first elevation fail
-        monkeypatch.setattr(gext, "_fresh_ids", lambda prefix, n, used: [min(used)] * n)
+        # fresh ids that repeat the target, already taken, make the first
+        # elevation fail
+        class RepeatingTarget(gext.ElevateStep):
+            def __init__(self, target, fresh_ids):
+                super().__init__(target, (target,) * len(fresh_ids))
+
+        monkeypatch.setattr(gext, "ElevateStep", RepeatingTarget)
         with pytest.raises(InternalInvariantError, match="step 1: elevate failed") as info:
             decompose_to_point(x9)
         assert isinstance(info.value.__cause__, StepMismatch)
+
+
+class TestDescentInvariant:
+    """``_descend`` requires each step to lower ``(dim, eta)``; a step that
+    returns its input is a bug, whoever runs the descent."""
+
+    @pytest.fixture
+    def stalled_step(self, monkeypatch):
+        real = gext.gextension_step
+        monkeypatch.setattr(gext, "gextension_step", lambda F: replace(real(F), f2=F))
+
+    def test_decompose_raises(self, x9, stalled_step):
+        with pytest.raises(InternalInvariantError, match=r"\(dim, eta\) failed to decrease"):
+            decompose_to_point(x9)
+
+    def test_reduce_dimension_raises(self, x9, stalled_step):
+        with pytest.raises(InternalInvariantError, match=r"\(dim, eta\) failed to decrease"):
+            reduce_dimension(x9)
+
+    def test_cli_decompose_exits_3(self, capsys, stalled_step):
+        code = main(["decompose", str(FIXTURES / "x9.poset")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant violated: (dim, eta) failed")
+        assert captured.err.count("\n") == 1
+
+
+class TestDecomposeMemory:
+    """``decompose_to_point`` keeps a small record per step, not the step's
+    posets, so its traced peak stays within a small multiple of the peak of
+    ``replay`` on the same script, which holds one poset at a time. Both
+    peaks are taken in one run, so the ratio does not depend on the Python
+    version's allocation sizes."""
+
+    @staticmethod
+    def traced_peak(f, *args):
+        tracemalloc.start()
+        try:
+            result = f(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_poset(1, 200, 1.0),
+            lambda: random_poset(4, 80, 0.08),
+            lambda: diamond_ladder(20),
+        ],
+        ids=["chain-200", "random-80", "ladder-20"],
+    )
+    def test_decompose_peak_is_at_most_four_replays(self, make):
+        X = make()
+        script, decompose_peak = self.traced_peak(decompose_to_point, X)
+        _, replay_peak = self.traced_peak(replay, script)
+        assert decompose_peak <= 4 * replay_peak, (decompose_peak, replay_peak)
 
 
 class TestUncheckedSplits:

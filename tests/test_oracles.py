@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import networkx as nx
 import pytest
@@ -103,7 +103,13 @@ from posetglue.gluing import (
     normalize_collection,
 )
 from posetglue import generate, gluing
-from posetglue.generate import _as_poset, _closed_relations, all_posets_upto_iso, random_poset
+from posetglue.generate import (
+    _as_poset,
+    _closed_relations,
+    all_posets_upto_iso,
+    iter_posets_upto_iso,
+    random_poset,
+)
 
 from conftest import FIXTURES, benchmark_inputs, diamond_ladder, load_fixture
 
@@ -1107,6 +1113,20 @@ def test_each_level_is_generated_once_and_returned_fresh(monkeypatch):
 def test_enumerator_rejects_a_non_integer_node_count(n):
     with pytest.raises(InputError, match="integer"):
         all_posets_upto_iso(n)
+    # the stream checks its argument when called, not when first read
+    with pytest.raises(InputError, match="integer"):
+        iter_posets_upto_iso(n)
+
+
+def test_the_stream_builds_each_poset_when_it_is_reached(monkeypatch):
+    built = []
+    real = generate._as_poset
+    monkeypatch.setattr(generate, "_as_poset", lambda n, rel: built.append(rel) or real(n, rel))
+    stream = iter_posets_upto_iso(7)
+    assert built == []
+    first = list(islice(stream, 3))
+    assert len(built) == 3
+    assert first + list(stream) == all_posets_upto_iso(7)
 
 
 def test_saturated_subset_of_a_long_chain_is_fast():
