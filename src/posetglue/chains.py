@@ -9,9 +9,12 @@ per node of every maximal chain, so building it is exponential on wide
 posets; it stays as the paper-facing construction (``chain_decomposition``,
 ``split_for_cover`` with its map t_F) and as the oracle the tests compare
 against. The decompose hot path splits with ``_split_by_rank``, a pure
-constructor that builds the same split poset from X's covers and gives each
-node the id the chain-sum gluing would, computed from chain ranks and path
-counts without listing a chain.
+constructor that renames X into the same split poset (``core._split``) and
+gives each node the id the chain-sum gluing would, computed from chain ranks
+and path counts without listing a chain. For each floor in {0, 10, 100, ...}
+one descent over path counts finds the chain of rank floor, and one pass
+over the nodes, lowest first, carries each node's least prefix base >= floor
+up its covers (``_least_ranks``), so a split costs O(digits * (n + covers)).
 
 Each fact is checked in one place. ``chain_decomposition`` checks that X is
 a gluing of D. Both split paths, ``glue_D_along_subcollection`` and
@@ -27,10 +30,9 @@ isomorphism check instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
-from .core import NodeId, Poset, build
+from .core import NodeId, Poset, _split, build
 from .errors import (
     EmptyPoset,
     InternalInvariantError,
@@ -204,10 +206,13 @@ def _split_by_rank(X: Poset, u1: NodeId, u2: NodeId) -> tuple[Poset, PosetMap]:
     chain's index in ``maximal_chains`` order) is "a{r}.{j}", j being x's
     position in it, and F names each class by its string-least member. "."
     sorts below every digit, so among ranks with the same number of digits
-    only the least can win: x's id is the least of at most one candidate per
-    digit count, and each candidate is found by one descent over path counts
-    (``_first_chain_through``). The chains that start (u1, c) fill one block
-    of consecutive ranks, which names u1's copy under c.
+    only the least can win: x's id is the string-least of at most one
+    candidate per floor in {0, 10, 100, ...}, the least rank >= floor of a
+    chain through x. ``_least_ranks`` finds that rank for every node in one
+    pass, so a split costs O(digits * (n + covers)), digits being those of
+    the maximal chain count. The chains that start (u1, c) fill one block of
+    consecutive ranks, which names u1's copy under c (``_first_in_block``).
+    F itself is X renamed (``core._split``).
     """
     X._check_node(u1)
     X._check_node(u2)
@@ -218,41 +223,40 @@ def _split_by_rank(X: Poset, u1: NodeId, u2: NodeId) -> tuple[Poset, PosetMap]:
 
     succ = {x: sorted(above) for x, above in X._cover_lists(upper=True).items()}
     if len(succ[u1]) == 1:
-        F, f_F = X, identity_map(X)
-    else:
-        count: dict[NodeId, int] = {}  # maximal chains from a node upward
-        for x in X._by_up_size(lowest_first=False):
-            count[x] = sum(count[c] for c in succ[x]) if succ[x] else 1
-        roots = sorted(X.min_nodes())
-        name = {}  # node of X other than u1 -> id in F
-        for x in X.nodes:
+        return X, identity_map(X)
+    order = X._by_up_size(lowest_first=True)
+    count: dict[NodeId, int] = {}  # maximal chains from a node upward
+    for x in reversed(order):
+        count[x] = sum(count[c] for c in succ[x]) if succ[x] else 1
+    roots = sorted(X.min_nodes())
+    blocks = {}  # cover c of u1 -> ranks of the chains that start (u1, c)
+    lo = sum(count[m] for m in roots if m < u1)
+    for c in succ[u1]:
+        blocks[c] = lo, lo + count[c]
+        lo += count[c]
+    name: dict[NodeId, NodeId] = {}  # node of X other than u1 -> id in F
+    copy: dict[NodeId, NodeId] = {}  # cover of u1 -> id of u1's copy under it
+    total = sum(count[m] for m in roots)
+    floor = 0
+    while floor < total:
+        for x, (r, j) in _least_ranks(floor, order, roots, succ, count).items():
             if x != u1:
-                name[x] = _least_id(partial(_first_chain_through, x, roots, succ, count, X._up))
-        copy: dict[NodeId, NodeId] = {}  # cover of u1 -> id of u1's copy under it
-        lo = sum(count[m] for m in roots if m < u1)
-        for c in succ[u1]:
-            hi = lo + count[c]
-            copy[c] = _least_id(partial(_first_in_block, lo, hi))
-            lo = hi
-        covers = [(name[a], name[b]) for a, b in X.covers if a != u1]
-        covers.extend((v, name[c]) for c, v in copy.items())
-        F = build([*name.values(), *copy.values()], covers)
-        f_F = PosetMap(F, X, {**{v: x for x, v in name.items()}, **{v: u1 for v in copy.values()}})
+                _offer(name, x, r, j)
+        for c, block in blocks.items():
+            found = _first_in_block(*block, floor)
+            if found is not None:
+                _offer(copy, c, *found)
+        floor = 10 * floor or 10
+    F = _split(X, u1, name, copy)
+    f_F = PosetMap(F, X, {**{v: x for x, v in name.items()}, **{v: u1 for v in copy.values()}})
     return F, f_F
 
 
-def _least_id(first_from) -> NodeId:
-    """The string-least "a{r}.{j}", where first_from(floor) gives the least
-    rank r >= floor with its position j, or None when there is none."""
-    best = None
-    floor = 0
-    while (found := first_from(floor)) is not None:
-        r, j = found
-        candidate = f"a{r}.{j}"
-        if best is None or candidate < best:
-            best = candidate
-        floor = 10 ** len(str(r))  # the least rank with one more digit
-    return best
+def _offer(least: dict[NodeId, NodeId], key: NodeId, r: int, j: int) -> None:
+    """Keep the string-least of least[key] and "a{r}.{j}"."""
+    candidate = f"a{r}.{j}"
+    if key not in least or candidate < least[key]:
+        least[key] = candidate
 
 
 def _first_in_block(lo: int, hi: int, floor: int):
@@ -261,30 +265,47 @@ def _first_in_block(lo: int, hi: int, floor: int):
     return (r, 0) if r < hi else None
 
 
-def _first_chain_through(x, roots, succ, count, up, floor: int):
-    """(rank, position of x) of the first maximal chain through x with rank
-    >= floor, or None.
+def _least_ranks(floor, order, roots, succ, count) -> dict[NodeId, tuple[int, int]]:
+    """For every node x on a chain of rank >= floor: (the least such rank,
+    x's position in that chain). floor must be below the chain count.
 
-    The chains extending a prefix that ends at v fill a block of count[v]
-    consecutive ranks. The descent skips blocks that end below floor and
-    prefixes whose last node is not below x; once x is on the prefix, every
-    chain of the block runs through it. Only the one path of blocks that
-    straddle floor can fail, so the walk is polynomial. An explicit stack
-    keeps tall posets clear of the recursion limit.
+    The chains extending a prefix that ends at x fill a block of count[x]
+    consecutive ranks starting at the prefix's base, and distinct prefixes
+    have disjoint blocks. So the answer is floor itself when x lies on c*,
+    the chain of rank floor, and otherwise B(x), the least base >= floor of
+    a prefix ending at x. A prefix through the cover (p, x) has base
+    base(p-prefix) + off(p, x), where off(p, x) counts the chains from p's
+    upper covers that sort before x; its base can reach floor from below
+    only if the p-prefix's block straddles floor, that is, only along c*.
+    So, lowest node first, B(x) is the least of B(p) + off(p, x) and, for p
+    on c*, base*(p) + off(p, x) when that is >= floor, over the lower
+    covers p; a root's own prefix has its block start as base. Positions
+    ride along with the arg-min, which is unique. One pass over the nodes
+    and covers.
     """
-    frames = [[roots, 0, 0]]  # candidates, index of the next one, its first rank
-    while frames:
-        frame = frames[-1]
-        children, i, base = frame
-        if i == len(children):
-            frames.pop()
-            continue
-        c = children[i]
-        frame[1] = i + 1
-        frame[2] = base + count[c]
-        if base + count[c] <= floor or x not in up[c]:
-            continue
-        if c == x:
-            return max(base, floor), len(frames) - 1
-        frames.append([succ[c], 0, base])
-    return None
+    star = {}  # node of c* -> (base of c*'s prefix ending there, position)
+    children, base = roots, 0
+    while children:
+        for c in children:
+            if floor < base + count[c]:
+                break
+            base += count[c]
+        star[c] = base, len(star)
+        children = succ[c]
+    best: dict[NodeId, tuple[int, int]] = {}  # node -> (B(x), position)
+    base = 0
+    for m in roots:
+        if base >= floor:
+            best[m] = base, 0
+        base += count[m]
+    for p in order:
+        prefixes = [b for b in (best.get(p), star.get(p)) if b is not None]
+        off = 0
+        for c in succ[p]:
+            for b, j in prefixes:
+                if b + off >= floor and (c not in best or b + off < best[c][0]):
+                    best[c] = b + off, j + 1
+            off += count[c]
+    for x, (b, j) in star.items():
+        best[x] = floor, j
+    return best

@@ -4,19 +4,21 @@ A ``Poset`` stores a sorted node tuple and the transitively reduced cover
 relation; the full order is kept as precomputed up-sets only. Down-sets are
 computed per call from the up-sets, and linear extensions come from
 up-set sizes (``a < b`` implies ``|up(a)| > |up(b)|``), so no topological sort
-is stored or repeated. Values are created only here, by ``build`` or by the two
-local constructors ``_elevated`` (fresh minima under a minimal node) and
+is stored or repeated. Values are created only here, by ``build`` or by the
+three local constructors ``_elevated`` (fresh minima under a minimal node),
 ``_glued`` (disjoint down-sets collapsed to points, which covers retractions
-and height-zero gluings); they are immutable and safe to share, so those two
-reuse their input's up-set objects instead of re-closing the order. Every
-operation here is a pure function of its inputs.
+and height-zero gluings) and ``_split`` (a minimal node split into one copy
+per cover, every other node renamed). None of them re-closes the order: the
+values are immutable and safe to share, so the first two reuse their input's
+up-set objects, and ``_split`` renames them. Every operation here is a pure
+function of its inputs.
 All iteration is over sorted ids so results are reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 import graphlib
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import CycleDetected, DanglingNode, EmptyPoset, UnknownNode
 
@@ -28,12 +30,12 @@ class Poset:
     """Finite poset, normalized to its Hasse diagram at construction.
 
     Do not instantiate directly; go through :func:`build`, which validates,
-    closes, and reduces the input relation, or one of the two local
-    constructors ``_elevated`` and ``_glued``, which derive an elevation's
-    result or a quotient along down-sets from its input. ``_up`` maps each
-    node to its up-set (the node included); it is the only stored form of
-    the order, and internal callers read it directly once their ids are
-    known to be valid. Up-set values may be shared between posets. Heights,
+    closes, and reduces the input relation, or one of the three local
+    constructors ``_elevated``, ``_glued`` and ``_split``, which derive an
+    elevation's result, a quotient along down-sets or a split from its
+    input. ``_up`` maps each node to its up-set (the node included); it is
+    the only stored form of the order, and internal callers read it directly
+    once their ids are known to be valid. Up-set values may be shared between posets. Heights,
     depths, minima and maxima are computed on first use and cached.
     """
 
@@ -343,6 +345,27 @@ def _glued(X: Poset, members: Sequence[frozenset[NodeId]]) -> Poset:
         least = exits - above
         up[c] = frozenset({c}).union(*(X._up[b] for b in least))
         covers.update((c, b) for b in least)
+    return Poset(tuple(sorted(up)), frozenset(covers), up)
+
+
+def _split(
+    X: Poset, u1: NodeId, name: Mapping[NodeId, NodeId], copy: Mapping[NodeId, NodeId]
+) -> Poset:
+    """X with the minimal node u1 split into one copy per upper cover, and
+    every other node renamed.
+
+    ``name`` gives the new id of each node of X but u1, and ``copy`` the id
+    of u1's copy under each upper cover c of u1; the caller has checked that
+    u1 is minimal and that the new ids are distinct. No up-set but u1's holds
+    u1, so every other node's up-set and covers are X's renamed, and the
+    copy v under c gets ``{v} | up(name[c])`` with c as its only cover.
+    """
+    rename = name.__getitem__
+    up = {name[x]: frozenset(map(rename, u)) for x, u in X._up.items() if x != u1}
+    covers = {(name[a], name[b]) for a, b in X.covers if a != u1}
+    for c, v in copy.items():
+        up[v] = up[name[c]] | {v}
+        covers.add((v, name[c]))
     return Poset(tuple(sorted(up)), frozenset(covers), up)
 
 

@@ -21,7 +21,16 @@ from .errors import InputError
 
 
 def random_poset(seed: int, node_count: int, edge_probability: float) -> Poset:
-    """Random DAG on a fixed topological order, transitively reduced."""
+    """Random DAG on a fixed topological order, transitively reduced.
+
+    Each pair i < j of indices is related with the given probability, drawn
+    in row order (i, then j). The result is ``build`` on the drawn pairs, but
+    ``build`` gets only the covers: the drawn successors of each row are kept
+    as a bitmask, and the rows are closed from the last index down, so every
+    strict up-set above a row is known when the row is reached. A drawn
+    successor is a cover unless it lies above a lesser drawn successor of the
+    same row, which is found before it.
+    """
     if node_count < 1:
         raise InputError("node_count must be at least 1")
     if not 0.0 <= edge_probability <= 1.0:
@@ -29,13 +38,22 @@ def random_poset(seed: int, node_count: int, edge_probability: float) -> Poset:
     rng = random.Random(f"{seed}:{node_count}:{edge_probability}")
     width = len(str(node_count - 1))
     ids = [f"n{i:0{width}d}" for i in range(node_count)]
-    relation = [
-        (ids[i], ids[j])
-        for i in range(node_count)
-        for j in range(i + 1, node_count)
-        if rng.random() < edge_probability
-    ]
-    return build(ids, relation)
+    drawn = [0] * node_count  # row i -> bitmask of the drawn j > i
+    for i in range(node_count):
+        for j in range(i + 1, node_count):
+            if rng.random() < edge_probability:
+                drawn[i] |= 1 << j
+    strict_up = [0] * node_count
+    covers = []
+    for i in reversed(range(node_count)):
+        above, rest = 0, drawn[i]
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            covers.append((ids[i], ids[j]))
+            above |= strict_up[j]
+            rest &= ~above & ~(1 << j)
+        strict_up[i] = above | drawn[i]
+    return build(ids, covers)
 
 
 def _closed_relations(n: int):

@@ -180,8 +180,12 @@ def m_count(F: Poset, x: NodeId) -> int:
 
 
 def _shared_minima(F: Poset, x: NodeId) -> list[NodeId]:
-    """The nodes ``m_count`` counts, in ascending order."""
-    return sorted(u for u in F.min_nodes() if F.lt(u, x) and F.upper_covers(u) != {x})
+    """The nodes ``m_count`` counts, in ascending order, from one pass over
+    the covers: a minimum u < x has a cover other than x exactly when x is
+    not its unique cover."""
+    up = F._up
+    below = {u for u in F.min_nodes() if u != x and x in up[u]}
+    return sorted({a for a, b in F.covers if a in below and b != x})
 
 
 @dataclass(frozen=True)

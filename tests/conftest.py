@@ -81,6 +81,21 @@ def diamond_ladder(rungs: int) -> Poset:
     return build(nodes, covers)
 
 
+def fence(n: int) -> Poset:
+    """The zigzag f0 < f1 > f2 < f3 ... on n nodes: even nodes are minimal,
+    and n - 1 maximal chains."""
+    ids = [f"f{i:03d}" for i in range(n)]
+    covers = [(ids[i], ids[j]) for i in range(0, n, 2) for j in (i - 1, i + 1) if 0 <= j < n]
+    return build(ids, covers)
+
+
+def complete_bipartite(k: int) -> Poset:
+    """K(k,k): each of k minima is covered by each of k maxima."""
+    bottoms = [f"b{i:02d}" for i in range(k)]
+    tops = [f"t{i:02d}" for i in range(k)]
+    return build(bottoms + tops, [(b, t) for b in bottoms for t in tops])
+
+
 def three_minima_script(*partition):
     """A script that grows minima a, b, c under the point p0, then glues
     along the given parts (id lists); its final poset glues a with b."""

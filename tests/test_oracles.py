@@ -1,11 +1,17 @@
 """Fast paths against the slow constructions they replaced.
 
-The split behind ``split_for_cover`` (``_split_by_rank``) builds the split
-poset straight from the covers and names its nodes by chain rank,
+The split behind ``split_for_cover`` (``_split_by_rank``) renames X into the
+split poset (``core._split``) and names its nodes by chain rank,
 ``glue_along_complete`` quotients the cover image, and ``build`` reads the
 covers off the successor sets. Each is compared with the construction it
 replaced, kept here as an oracle: the chain-sum gluing, the pairwise class
-relation, and ``networkx.transitive_reduction``.
+relation, and ``networkx.transitive_reduction``. The chain-rank names come
+from one pass per digit count (``chains._least_ranks``); they are checked
+against the descent per node and digit count that they replaced, kept here
+with ``build`` on the named covers, on ladders, fences and K(k,k) as well.
+``gext._shared_minima`` reads the covers in one pass and is checked against
+the per-minimum scan, and ``random_poset`` hands ``build`` only its covers
+and is checked against ``build`` on every pair it drew.
 
 ``glue_D_along_subcollection`` glues the chain sum along its fibers in one
 ``glue_along_collection`` call; it is checked against the fiber-by-fiber
@@ -59,6 +65,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import partial
 from itertools import combinations, islice, permutations
 
 import networkx as nx
@@ -91,8 +98,8 @@ from posetglue import (
     verify_gluing,
     wrap,
 )
-from posetglue.chains import _split_by_rank
-from posetglue.gext import _pivot
+from posetglue.chains import _first_in_block, _split_by_rank
+from posetglue.gext import _pivot, _shared_minima
 from posetglue.core import Poset, _glued
 from posetglue.gluing import (
     _verify_height_zero_quotient,
@@ -111,7 +118,14 @@ from posetglue.generate import (
     random_poset,
 )
 
-from conftest import FIXTURES, benchmark_inputs, diamond_ladder, load_fixture
+from conftest import (
+    FIXTURES,
+    benchmark_inputs,
+    complete_bipartite,
+    diamond_ladder,
+    fence,
+    load_fixture,
+)
 
 RANDOM_SEEDS = range(40)
 RANDOM_NODES = 12
@@ -240,6 +254,149 @@ def test_rank_split_equals_the_chain_sum_gluing(small_posets):
                 assert F == oracle[0]
                 assert f_F.assignment == oracle[1]
     assert cases == 952
+
+
+def first_chain_through(x, roots, succ, count, up, floor):
+    """(rank, position of x) of the first maximal chain through x with rank
+    >= floor, or None.
+
+    The chains extending a prefix that ends at v fill a block of count[v]
+    consecutive ranks. The descent skips blocks that end below floor and
+    prefixes whose last node is not below x; once x is on the prefix, every
+    chain of the block runs through it. An explicit stack keeps tall posets
+    clear of the recursion limit.
+    """
+    frames = [[roots, 0, 0]]  # candidates, index of the next one, its first rank
+    while frames:
+        frame = frames[-1]
+        children, i, base = frame
+        if i == len(children):
+            frames.pop()
+            continue
+        c = children[i]
+        frame[1] = i + 1
+        frame[2] = base + count[c]
+        if base + count[c] <= floor or x not in up[c]:
+            continue
+        if c == x:
+            return max(base, floor), len(frames) - 1
+        frames.append([succ[c], 0, base])
+    return None
+
+
+def least_id_by_descent(first_from):
+    """The string-least "a{r}.{j}", where first_from(floor) gives the least
+    rank r >= floor with its position j, or None when there is none."""
+    best = None
+    floor = 0
+    while (found := first_from(floor)) is not None:
+        r, j = found
+        candidate = f"a{r}.{j}"
+        if best is None or candidate < best:
+            best = candidate
+        floor = 10 ** len(str(r))  # the least rank with one more digit
+    return best
+
+
+def descent_split(X, u1):
+    """F and the f_F assignment of the split of u1 (with two or more
+    covers), every node named by one descent per digit count and F made by
+    ``build``: the construction ``_split_by_rank`` replaced."""
+    succ = {x: sorted(above) for x, above in X._cover_lists(upper=True).items()}
+    count = {}
+    for x in X._by_up_size(lowest_first=False):
+        count[x] = sum(count[c] for c in succ[x]) if succ[x] else 1
+    roots = sorted(X.min_nodes())
+    name = {
+        x: least_id_by_descent(partial(first_chain_through, x, roots, succ, count, X._up))
+        for x in X.nodes
+        if x != u1
+    }
+    copy = {}
+    lo = sum(count[m] for m in roots if m < u1)
+    for c in succ[u1]:
+        copy[c] = least_id_by_descent(partial(_first_in_block, lo, lo + count[c]))
+        lo += count[c]
+    covers = [(name[a], name[b]) for a, b in X.covers if a != u1]
+    covers += [(v, name[c]) for c, v in copy.items()]
+    F = build([*name.values(), *copy.values()], covers)
+    return F, {**{v: x for x, v in name.items()}, **{v: u1 for v in copy.values()}}
+
+
+def one_pass_split_posets(small_posets):
+    """Every poset on up to 6 nodes, ladders of 1 to 12 and 40 rungs (2**40
+    chains, so 13-digit ranks), fences of 3 to 40, 63, 64, 101, 128 and 201
+    nodes, K(k,k) for k <= 12 and 48 seeded 16- and 24-node posets."""
+    out = list(small_posets)
+    out += [diamond_ladder(k) for k in (*range(1, 13), 40)]
+    out += [fence(n) for n in (*range(3, 41), 63, 64, 101, 128, 201)]
+    out += [complete_bipartite(k) for k in range(1, 13)]
+    out += [random_poset(s, n, 0.3) for n in (16, 24) for s in range(24)]
+    return out
+
+
+def test_one_pass_names_equal_the_descent(small_posets):
+    cases = 0
+    for X in one_pass_split_posets(small_posets):
+        for u1 in sorted(X.min_nodes()):
+            covers = sorted(X.upper_covers(u1))
+            if len(covers) < 2:
+                continue
+            F_oracle, f_oracle = descent_split(X, u1)
+            for u2 in covers:
+                cases += 1
+                F, f_F = _split_by_rank(X, u1, u2)
+                assert F == F_oracle
+                assert f_F.assignment == f_oracle
+    assert cases == 3060
+
+
+def test_renamed_split_has_the_up_sets_build_gives(small_posets):
+    cases = 0
+    for X in one_pass_split_posets(small_posets):
+        for u1 in sorted(X.min_nodes()):
+            covers = sorted(X.upper_covers(u1))
+            if len(covers) >= 2:
+                cases += 1
+                F, _ = _split_by_rank(X, u1, covers[0])
+                assert F._up == build(F.nodes, F.covers)._up
+    assert cases == 1210
+
+
+def scanned_shared_minima(F, x):
+    """The minima m_count counts, by checked calls per minimum."""
+    return sorted(u for u in F.min_nodes() if F.lt(u, x) and F.upper_covers(u) != {x})
+
+
+def test_shared_minima_equal_the_per_minimum_scan(small_posets):
+    posets = list(small_posets) + [random_poset(s, n, 0.3) for n in (12, 20) for s in range(20)]
+    posets += [fence(9), complete_bipartite(4), diamond_ladder(3)]
+    cases = 0
+    for F in posets:
+        for x in F.nodes:
+            assert _shared_minima(F, x) == scanned_shared_minima(F, x)
+            cases += 1
+    assert cases == 2974
+
+
+def drawn_pairs(seed, n, p):
+    """The pairs ``random_poset`` draws, in its order."""
+    rng = random.Random(f"{seed}:{n}:{p}")
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
+def test_random_poset_equals_build_on_the_drawn_pairs():
+    cases = 0
+    for n in (1, 2, 3, 5, 8, 13, 21, 30):
+        ids = [f"n{i:0{len(str(n - 1))}d}" for i in range(n)]
+        for p in (0.0, 0.05, 0.2, 0.3, 0.5, 1.0):
+            for seed in range(12):
+                P = random_poset(seed, n, p)
+                Q = build(ids, [(ids[i], ids[j]) for i, j in drawn_pairs(seed, n, p)])
+                assert P == Q
+                assert P._up == Q._up
+                cases += 1
+    assert cases == 576
 
 
 def fold_glue_D(cd, chosen):
