@@ -13,14 +13,17 @@ them, verifying every move, for both ``replay`` and ``decompose_to_point``,
 which certifies its own script with it before returning. The backward pass
 checks only the preconditions its moves need and that ``(dim, eta)``
 decreases; it validates neither its retractions nor its splits. The step loop
-is the one checker of each elevation and gluing: an elevation validates its
-witness, and a glue step's quotient (``core._glued``) is checked against its
-closed form by ``gluing._verify_height_zero_quotient``, which reads only the
-input's up-sets and covers and rebuilds nothing. ``decompose_to_point``'s
-final isomorphism check catches a wrong split or retraction. The certificate
-shows that the original poset sits inside the reconstruction as a saturated
-subset; its check scans each rung of the morphism ladder once. ``wrap`` checks
-nothing.
+is the one checker of each elevation and gluing, and each move is checked by
+the fewest facts that imply the rest: an elevation validates its witness by
+four facts (``ElevationWitness.validate``), and a glue step's quotient
+(``core._glued``) is checked against its closed form by
+``gluing._verify_height_zero_quotient``, which reads only the input's up-sets
+and covers and rebuilds nothing. One rule, ``_shared_minima``, decides unique
+covers for the split loop, the retraction and the witness.
+``decompose_to_point``'s final isomorphism check catches a wrong split or
+retraction. The certificate shows that the original poset sits inside the
+reconstruction as a saturated subset; its check scans each rung of the
+morphism ladder once. ``wrap`` checks nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ from .morphism import PosetMap, compose, identity_map, inclusion_map
 
 @dataclass(frozen=True)
 class ElevationWitness:
-    """Z is X with fresh minima grown under r(z); r collapses them back."""
+    """Z is X with fresh minima grown under r(z); r collapses them back,
+    and e is the section of r that sends the collapsed class to z."""
 
     Z: Poset
     z: NodeId
@@ -62,28 +66,30 @@ class ElevationWitness:
     e: PosetMap  # X -> Z, the unique section fixing z
 
     def validate(self) -> None:
+        """Check the four facts that imply the rest: z has height one; z is
+        the only cover of every minimum below it; r glues Z along z's
+        down-set onto X; and e, from X into Z, is exactly the section of r
+        that sends the class back to z. r . e is then the identity, e fixes
+        the pivot and is an embedding (r preserves order, so e reflects it;
+        off the class X has Z's order, and the class lies below what z lies
+        below), Z is the down-set and e's image, and Z's minima are the fresh
+        ones and e's image of X's other minima. A bad witness raises
+        InternalInvariantError."""
         Z, z, X, r, e = self.Z, self.z, self.X, self.r, self.e
         if Z.height(z) != 1:
             raise InternalInvariantError(f"pivot {z!r} does not have height one")
+        shared = _shared_minima(Z, z)
+        if shared:
+            raise InternalInvariantError(f"{z!r} is not the only cover of {shared[0]!r}")
         down = Z.down_set(z)
-        for w in sorted(down - {z}):
-            if Z.upper_covers(w) != {z}:
-                raise InternalInvariantError(f"{z!r} is not the only cover of {w!r}")
         report = verify_gluing(Z, X, r, (down,))
         if not report:
             raise InternalInvariantError(f"r is not a gluing along the down-set: {report.reason}")
-        if any(r(e(x)) != x for x in X.nodes):
-            raise InternalInvariantError("r . e is not the identity")
-        if e(r(z)) != z:
-            raise InternalInvariantError("section does not fix the pivot")
-        if not morphism.is_embedding(e):
-            raise InternalInvariantError("elevation map is not an embedding")
-        if frozenset(Z.nodes) != down | e.image():
-            raise InternalInvariantError("Z is not the union of the down-set and the section image")
-        fresh = down - {z}
-        expected_min = fresh | frozenset(e(x) for x in X.min_nodes() if x != r(z))
-        if Z.min_nodes() != expected_min:
-            raise InternalInvariantError("minima of Z do not decompose as expected")
+        r_of = r.assignment
+        section = {r_of[w]: w for w in Z.nodes if w not in down}
+        section[r_of[z]] = z
+        if e.source != X or e.target != Z or e.assignment != section:
+            raise InternalInvariantError("e is not the section of r that fixes the pivot")
 
 
 def retract(Z: Poset, z: NodeId) -> ElevationWitness:
@@ -95,10 +101,10 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
     (``core._glued`` on the one down-set): it shares Z's up-set objects
     outside the down-set, so making X takes time linear in the size of Z
     instead of a re-closure of the order. The section e sends each surviving
-    node to its unique preimage and c to z. ``validate`` checks the result
-    against the canonical gluing in full. ``gextension_step`` uses the
-    unvalidated ``_retraction``: the elevation that undoes it is validated
-    once, when the script's step loop executes it.
+    node to its unique preimage and c to z. ``validate`` checks r against
+    the canonical gluing and pins e to that section. ``gextension_step``
+    uses the unvalidated ``_retraction``: the elevation that undoes it is
+    validated once, when the script's step loop executes it.
     """
     result = _retraction(Z, z)
     result.validate()
@@ -111,12 +117,13 @@ def _retraction(Z: Poset, z: NodeId) -> ElevationWitness:
     Z._check_node(z)
     if Z.height(z) != 1:
         raise NotHeightOne(f"{z!r} has height {Z.height(z)}, expected 1")
+    shared = _shared_minima(Z, z)
+    if shared:
+        w = shared[0]
+        raise NotUniqueCover(
+            f"{w!r} below {z!r} has covers {sorted(Z.upper_covers(w))!r}", node=w
+        )
     down = Z.down_set(z)
-    for w in sorted(down - {z}):
-        if Z.upper_covers(w) != {z}:
-            raise NotUniqueCover(
-                f"{w!r} below {z!r} has covers {sorted(Z.upper_covers(w))!r}", node=w
-            )
     X = _glued(Z, (down,))
     c = min(down)
     r = PosetMap(Z, X, {w: c if w in down else w for w in Z.nodes})
@@ -135,7 +142,7 @@ def elevate(
     Z is derived from X directly (``core._elevated``): it reuses X's up-set
     objects and gives each fresh q the up-set ``{q} | up(p)``, so making Z
     takes time linear in its size instead of a re-closure of the order.
-    ``validate`` still checks the result in full.
+    ``validate`` checks the result by the four facts that imply the rest.
     """
     X._check_node(p)
     if p not in X.min_nodes():
@@ -220,9 +227,13 @@ def gextension_step(F1: Poset) -> GExtension:
     listed once per round: the pivot has height one, so the minimal nodes
     under it are the ones it covers. Then retract the pivot's down-set.
     Only preconditions and termination are checked here: the splits'
-    preconditions and the pivot's unique lift (``_split_by_rank`` does not
-    check its result), and the retraction's pivot and unique covers
-    (``_retraction``, which skips ``validate``). The elevation that undoes
+    preconditions, the drop of the shared-minima count, and the retraction's
+    pivot and unique covers (``_retraction``, which skips ``validate``).
+    ``_split_by_rank`` does not check its result: a split renames every node
+    but the split minimum and keeps its height and depth, so the pivot lifts
+    to one node of height one on a longest chain, and a split that broke this
+    fails ``_descend``'s (dim, eta) check or ``decompose_to_point``'s
+    isomorphism check. The elevation that undoes
     the retraction and the accumulated gluing h are verified, renamed, when
     ``_run_steps`` executes the script's elevate and glue steps, and
     ``decompose_to_point`` checks that the steps rebuild its padded poset.
@@ -238,10 +249,7 @@ def gextension_step(F1: Poset) -> GExtension:
     shared = _shared_minima(F, y)
     while shared:
         F, f_F = _split_by_rank(F, shared[0], y)
-        y_fiber = f_F.fiber(y)
-        if len(y_fiber) != 1:
-            raise InternalInvariantError(f"pivot {y!r} did not lift uniquely")
-        y = min(y_fiber)
+        y = min(f_F.fiber(y))
         h = compose(f_F, h)
         m = len(shared)
         shared = _shared_minima(F, y)
@@ -249,8 +257,6 @@ def gextension_step(F1: Poset) -> GExtension:
             raise InternalInvariantError(
                 f"shared-minima count failed to drop: {m} -> {len(shared)}"
             )
-        if F.height(y) != 1 or not F.on_maximal_length_chain(y):
-            raise InternalInvariantError("pivot left the maximal-length chains while splitting")
 
     retraction = _retraction(F, y)
     return GExtension(

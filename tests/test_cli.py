@@ -514,6 +514,84 @@ def mutated_x9_script(data):
     return json.dumps(obj)
 
 
+def broken_documents(text):
+    """(name, text) for each broken form of a poset or map document: cut at
+    seven offsets, a cover (or map value) naming an unknown id, version 2,
+    and each required field missing."""
+    for k in (0, 1, 2, len(text) // 4, len(text) // 2, 3 * len(text) // 4, len(text) - 2):
+        yield f"cut at {k}", text[:k]
+    obj = json.loads(text)
+    unknown = copy.deepcopy(obj)
+    if "covers" in obj:
+        unknown["covers"].append([obj["nodes"][0], "no-such-id"])
+    else:
+        unknown["map"][min(obj["map"])] = "no-such-id"
+    yield "unknown id", json.dumps(unknown)
+    yield "version 2", json.dumps({**obj, "version": 2})
+    for field in ("version", "nodes", "covers", "map"):
+        if field in obj:
+            yield f"no {field}", json.dumps({k: v for k, v in obj.items() if k != field})
+
+
+def identity_map_file(tmp_path):
+    from posetglue.documents import emit_map
+
+    path = tmp_path / "identity.map"
+    path.write_text(emit_map({x: x for x in ("1", "2", "4", "5", "6")}))  # diamond.poset
+    return str(path)
+
+
+# each command with the documents it reads; the one at BAD is replaced
+FUZZ_COMMANDS = [
+    ("info", ["x9.poset"]),
+    ("glue", ["diamond-split.poset", "--along", "6L,6R"]),
+    ("split", ["diamond.poset", "--min", "6", "--cover", "2"]),
+    ("elevate", ["point.poset", "--at", "p", "--count", "2"]),
+    ("retract", ["gext-z.poset", "--at", "5"]),
+    ("decompose", ["x9.poset"]),
+    ("render", ["diamond-split.poset", "--highlight", "6L,6R"]),
+    ("verify-embedding", ["diamond.poset", "diamond.poset", "MAP"]),
+]
+FUZZ_CASES = [
+    (command, args, slot)
+    for command, args in FUZZ_COMMANDS
+    for slot, arg in enumerate(args)
+    if arg.endswith(".poset") or arg == "MAP"
+]
+
+
+class TestCommandFuzz:
+    """A broken document exits 2 with one stderr line from every command
+    that reads one, never 1 (a failed check) or 3 (a bug)."""
+
+    @staticmethod
+    def argv(tmp_path, args):
+        return [
+            identity_map_file(tmp_path) if a == "MAP" else fx(a) if a.endswith(".poset") else a
+            for a in args
+        ]
+
+    @pytest.mark.parametrize(
+        "command, args, slot", FUZZ_CASES, ids=[f"{c}-{s}" for c, _, s in FUZZ_CASES]
+    )
+    def test_broken_document_is_input_error(self, capsys, tmp_path, command, args, slot):
+        argv = self.argv(tmp_path, args)
+        assert main([command, *argv]) == 0
+        capsys.readouterr()
+        text = Path(argv[slot]).read_text()
+        checked = 0
+        for name, broken in broken_documents(text):
+            path = tmp_path / "broken"
+            path.write_text(broken)
+            code = main([command, *argv[:slot], str(path), *argv[slot + 1 :]])
+            captured = capsys.readouterr()
+            assert code == 2, (name, captured.err)
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), name
+            checked += 1
+        assert checked == (12 if args[slot].endswith(".poset") else 11)
+
+
 class TestReplayFuzz:
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -120,6 +120,31 @@ class TestLocalConstructorsValidate:
         assert validated == [grown, back]
 
 
+class TestValidateSection:
+    """``validate`` pins e to the section X -> Z of r, endpoints included,
+    and reports every bad section as an internal invariant."""
+
+    def test_a_section_into_another_poset_on_the_same_ids_is_rejected(self):
+        w = elevate(build(["p"], []), "p", 1)
+        e = PosetMap(w.X, build(w.Z.nodes, []), w.e.assignment)
+        with pytest.raises(InternalInvariantError, match="section"):
+            ElevationWitness(w.Z, w.z, w.X, w.r, e).validate()
+
+    def test_a_section_from_another_poset_on_the_same_ids_is_rejected(self):
+        w = elevate(chain("a", "b"), "a", 1)
+        e = PosetMap(build(w.X.nodes, []), w.Z, w.e.assignment)
+        with pytest.raises(InternalInvariantError):
+            ElevationWitness(w.Z, w.z, w.X, w.r, e).validate()
+
+    def test_a_section_that_is_not_order_preserving_is_an_invariant_error(self):
+        # a < b in X, but a and b are unrelated in the section's target
+        w = elevate(chain("a", "b"), "a", 1)
+        e = PosetMap(w.X, build(w.Z.nodes, []), w.e.assignment)
+        assert not is_poset_map(e)
+        with pytest.raises(InternalInvariantError, match="section"):
+            ElevationWitness(w.Z, w.z, w.X, w.r, e).validate()
+
+
 class TestElevate:
     def test_shares_every_up_set_of_x(self, x9):
         for p in sorted(x9.min_nodes()):

@@ -30,7 +30,9 @@ the closed form of a height-zero quotient, in place of ``verify_gluing`` and
 ``check_dim_min_preservation``; on every partition of the minima of every
 poset with n <= 6 it accepts what they accept, and it rejects, as
 ``verify_gluing`` does, each variant with a cover dropped or added or an
-up-set changed.
+up-set changed, and each with a cover from an untouched node into a class or
+a class's kept exit dropped, up-sets matching: faults that the minima and
+dimension checks it dropped also caught.
 
 The order kernel is checked the same way: ``build`` against ``networkx``
 (above) and against a relation with a cycle past a DAG part, heights, depths and chain counts
@@ -43,9 +45,13 @@ loops of checked ``leq`` calls they replaced.
 checked against ``build`` and ``glue_along_complete``, which they replaced.
 ``gextension_step`` does not validate its retractions (the step loop
 validates the elevations that undo them), so every retraction it makes on
-the n <= 6 sweep and the fixtures is validated here. ``_pivot`` reads the
-height and depth tables and is checked against the per-node scan it
-replaced; ``verify_gluing`` reads its comparison map off two assignments
+the n <= 6 sweep and the fixtures is validated here. ``validate`` checks
+four facts that imply the rest; it is checked against the eight checks it
+replaced, kept here as an oracle, on every elevation and retraction of the
+posets with n <= 5 and seven kinds of tampered witness, and ``retract``'s
+unique-cover fault against the per-node ``upper_covers`` loop it replaced.
+``_pivot`` reads the height and depth tables and is checked against the
+per-node scan it replaced; ``verify_gluing`` reads its comparison map off two assignments
 and is checked against the stagewise oracle also on targets with fresh ids.
 
 The embedding test, the saturated-subset test and ``PosetMap``'s totality
@@ -65,6 +71,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from functools import partial
 from itertools import combinations, islice, permutations
 
@@ -73,11 +80,15 @@ import pytest
 
 from posetglue import (
     CycleDetected,
+    ElevationWitness,
     GluingReport,
     GluingWitness,
     InputError,
+    InternalInvariantError,
     NotComplete,
     NotPosetMap,
+    NotUniqueCover,
+    PosetError,
     PosetMap,
     UnknownNode,
     WrapOptions,
@@ -90,6 +101,7 @@ from posetglue import (
     gextension_step,
     glue_D_along_subcollection,
     identity_map,
+    is_embedding,
     is_saturated_subset,
     poset_map_violation,
     retract,
@@ -859,6 +871,149 @@ def test_every_backward_retraction_validates(small_posets):
     assert (len(padded), checked) == (415, 1902)
 
 
+def eight_check_validate(w):
+    """``ElevationWitness.validate`` as it was before it checked only the
+    four facts that imply the rest, kept here as the oracle: it also checked
+    r . e, the pivot fix, that e is an embedding, that Z is the down-set and
+    e's image, and Z's minima, and it found unique covers per node."""
+    Z, z, X, r, e = w.Z, w.z, w.X, w.r, w.e
+    if Z.height(z) != 1:
+        raise InternalInvariantError(f"pivot {z!r} does not have height one")
+    down = Z.down_set(z)
+    for x in sorted(down - {z}):
+        if Z.upper_covers(x) != {z}:
+            raise InternalInvariantError(f"{z!r} is not the only cover of {x!r}")
+    report = verify_gluing(Z, X, r, (down,))
+    if not report:
+        raise InternalInvariantError(f"r is not a gluing along the down-set: {report.reason}")
+    if any(r(e(x)) != x for x in X.nodes):
+        raise InternalInvariantError("r . e is not the identity")
+    if e(r(z)) != z:
+        raise InternalInvariantError("section does not fix the pivot")
+    if not is_embedding(e):
+        raise InternalInvariantError("elevation map is not an embedding")
+    if frozenset(Z.nodes) != down | e.image():
+        raise InternalInvariantError("Z is not the union of the down-set and the section image")
+    fresh = down - {z}
+    expected_min = fresh | frozenset(e(x) for x in X.min_nodes() if x != r(z))
+    if Z.min_nodes() != expected_min:
+        raise InternalInvariantError("minima of Z do not decompose as expected")
+
+
+def other_orders(P):
+    """P with one cover dropped, and P with one cover added between two
+    incomparable nodes, each built on P's ids."""
+    for cover in sorted(P.covers):
+        yield "dropped", build(P.nodes, P.covers - {cover})
+    for a, b in permutations(P.nodes, 2):
+        if not P.leq(a, b) and not P.leq(b, a):
+            yield "added", build(P.nodes, P.covers | {(a, b)})
+
+
+def tampered_witnesses(w):
+    """w itself, then w with one fault: two section images swapped, the
+    class sent to a node other than z, r moving one node, X with a cover
+    dropped or added (r and e re-pointed at it), e into another poset on Z's
+    ids, or e from another poset on X's ids."""
+    Z, z, X, r, e = w.Z, w.z, w.X, w.r, w.e
+    yield "none", w
+    for x, y in combinations(X.nodes, 2):
+        yield "swap", replace(w, e=PosetMap(X, Z, {**e.assignment, x: e(y), y: e(x)}))
+    for v in Z.nodes:
+        if v != z:
+            yield "class", replace(w, e=PosetMap(X, Z, {**e.assignment, r(z): v}))
+    for v in Z.nodes:
+        for t in X.nodes:
+            if t != r(v):
+                yield "r moves", replace(w, r=PosetMap(Z, X, {**r.assignment, v: t}))
+    for how, X2 in other_orders(X):
+        r2, e2 = PosetMap(Z, X2, r.assignment), PosetMap(X2, Z, e.assignment)
+        yield f"X cover {how}", ElevationWitness(Z, z, X2, r2, e2)
+        yield "e from another X", replace(w, e=e2)
+    for _, Z2 in other_orders(Z):
+        yield "e into another Z", replace(w, e=PosetMap(X, Z2, e.assignment))
+
+
+def validate_verdict(check, w):
+    try:
+        check(w)
+    except PosetError as exc:
+        return type(exc)
+    return None
+
+
+def test_four_fact_validate_rejects_what_the_eight_checks_reject(small_posets):
+    witnesses = []
+    for X in small_posets:
+        if len(X) > 5:
+            continue
+        witnesses += [elevate(X, p, n) for p in sorted(X.min_nodes()) for n in (1, 2)]
+        witnesses += [retract(X, z) for z in X.nodes if retractable(X, z)]
+    tally: dict[str, list[int]] = {}
+    differ: dict[tuple[str, object], int] = {}
+    for w in witnesses:
+        for kind, bad in tampered_witnesses(w):
+            old = validate_verdict(eight_check_validate, bad)
+            new = validate_verdict(ElevationWitness.validate, bad)
+            assert new in (None, InternalInvariantError), (kind, new)
+            if old is not None:
+                assert new is InternalInvariantError, kind
+            counts = tally.setdefault(kind, [0, 0, 0])
+            counts[0] += 1
+            counts[1] += old is not None
+            counts[2] += new is not None
+            if old != new:
+                key = (kind, old.__name__ if old else "accepted")
+                differ[key] = differ.get(key, 0) + 1
+    # (cases, rejected by the eight checks, rejected by the four facts)
+    assert len(witnesses) == 409
+    assert {kind: tuple(counts) for kind, counts in tally.items()} == {
+        "none": (409, 0, 0),
+        "swap": (3353, 3353, 3353),
+        "class": (2034, 2034, 2034),
+        "r moves": (8811, 8811, 8811),
+        "X cover dropped": (1236, 1236, 1236),
+        "X cover added": (3502, 3502, 3502),
+        "e from another X": (4738, 4738, 4738),
+        "e into another Z": (8068, 5894, 8068),
+    }
+    # the eight checks accepted a section into another poset on Z's ids,
+    # and raised NotPosetMap, an input error, for one that is not
+    # order-preserving; the four facts reject both as invariant faults
+    assert differ == {
+        ("e into another Z", "accepted"): 2174,
+        ("e into another Z", "NotPosetMap"): 1236,
+        ("e from another X", "NotPosetMap"): 3502,
+    }
+
+
+def per_node_unique_cover_fault(Z, z):
+    """``retract``'s unique-cover fault as its per-node ``upper_covers``
+    loop found it, kept here as the oracle: the message and node, or None."""
+    for w in sorted(Z.down_set(z) - {z}):
+        if Z.upper_covers(w) != {z}:
+            return f"{w!r} below {z!r} has covers {sorted(Z.upper_covers(w))!r}", w
+    return None
+
+
+def test_unique_cover_fault_is_the_per_node_scans(small_posets):
+    faults = retracted = 0
+    for Z in small_posets:
+        for z in Z.nodes:
+            if Z.height(z) != 1:
+                continue
+            expected = per_node_unique_cover_fault(Z, z)
+            if expected is None:
+                retract(Z, z)
+                retracted += 1
+                continue
+            with pytest.raises(NotUniqueCover) as err:
+                retract(Z, z)
+            assert (str(err.value), err.value.node) == expected
+            faults += 1
+    assert (faults, retracted) == (611, 188)
+
+
 def scanned_pivot(F):
     """The pivot as ``_pivot`` found it before it read the height and depth
     tables: checked ``height`` and ``on_maximal_length_chain`` per node."""
@@ -943,10 +1098,12 @@ def minima_partitions(X):
             yield parts
 
 
-def wrong_quotients(Y):
+def wrong_quotients(Y, partition):
     """Y with one cover dropped, with one cover added between two distinct
     nodes, or with one upper cover missing from its lower node's up-set;
-    made directly, as a faulty constructor would, not through ``build``."""
+    then, with the up-sets to match, a cover from an untouched node into a
+    class, or a class with one of its kept exits dropped. Each is made
+    directly, as a faulty constructor would, not through ``build``."""
     for cover in sorted(Y.covers):
         yield Poset(Y.nodes, Y.covers - {cover}, Y._up)
     for a, b in permutations(Y.nodes, 2):
@@ -954,6 +1111,15 @@ def wrong_quotients(Y):
             yield Poset(Y.nodes, Y.covers | {(a, b)}, Y._up)
     for a, b in sorted(Y.covers):
         yield Poset(Y.nodes, Y.covers, {**Y._up, a: Y._up[a] - {b}})
+    classes = sorted(min(C) for C in partition)
+    for c in classes:
+        for x in Y.nodes:
+            if x not in classes and x not in Y._up[c]:
+                yield Poset(Y.nodes, Y.covers | {(x, c)}, {**Y._up, x: Y._up[x] | Y._up[c]})
+        exits = sorted(b for a, b in Y.covers if a == c)
+        for b in exits:
+            up_c = frozenset({c}).union(*(Y._up[k] for k in exits if k != b))
+            yield Poset(Y.nodes, Y.covers - {(c, b)}, {**Y._up, c: up_c})
 
 
 def test_closed_form_check_agrees_with_verify_gluing(small_posets):
@@ -968,11 +1134,11 @@ def test_closed_form_check_agrees_with_verify_gluing(small_posets):
             assert verify_gluing(X, Y, g, partition)
             check_dim_min_preservation(GluingWitness(X, Y, g, partition))
             glued += 1
-            for bad in wrong_quotients(Y):
+            for bad in wrong_quotients(Y, partition):
                 assert not _verify_height_zero_quotient(X, bad, partition)
                 assert not verify_gluing(X, bad, name_of, partition)
                 rejected += 1
-    assert (glued, rejected) == (1555, 25355)
+    assert (glued, rejected) == (1555, 29610)
 
 
 def scan_poset_map_fault(source, target, assignment):
