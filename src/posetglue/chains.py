@@ -199,8 +199,9 @@ def split_for_cover(X: Poset, u1: NodeId, u2: NodeId) -> SplitResult:
 def _split_by_rank(X: Poset, u1: NodeId, u2: NodeId) -> tuple[Poset, PosetMap]:
     """F and f_F of ``split_for_cover``, with the same ids, in polynomial time.
 
-    A pure constructor, like ``gext._retraction``: it checks that u1 is
-    minimal and covered by u2, but not its result.
+    A pure constructor, like the down-set collapse that ends
+    ``gext.gextension_step``: it checks that u1 is minimal and covered by
+    u2, but not its result.
 
     In the chain sum, the copy of x in the maximal chain of rank r (the
     chain's index in ``maximal_chains`` order) is "a{r}.{j}", j being x's

@@ -15,11 +15,13 @@ checks only the preconditions its moves need and that ``(dim, eta)``
 decreases; it validates neither its retractions nor its splits. The step loop
 is the one checker of each elevation and gluing, and each move is checked by
 the fewest facts that imply the rest: an elevation validates its witness by
-four facts (``ElevationWitness.validate``), and a glue step's quotient
+three facts (``ElevationWitness.validate``), and a glue step's quotient
 (``core._glued``) is checked against its closed form by
 ``gluing._verify_height_zero_quotient``, which reads only the input's up-sets
-and covers and rebuilds nothing. One rule, ``_shared_minima``, decides unique
-covers for the split loop, the retraction and the witness.
+and covers and rebuilds nothing. Witnesses store only what determines them:
+an ``ElevationWitness`` is (Z, z, X) and derives its maps r and e, and a
+``GExtension`` is (h, pivot, f2). One rule, ``_shared_minima``, decides
+unique covers for the split loop, ``retract`` and the witness.
 ``decompose_to_point``'s final isomorphism check catches a wrong split or
 retraction. The certificate shows that the original poset sits inside the
 reconstruction as a saturated subset; its check scans each rung of the
@@ -29,6 +31,7 @@ morphism ladder once. ``wrap`` checks nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from . import morphism
@@ -56,40 +59,57 @@ from .morphism import PosetMap, compose, identity_map, inclusion_map
 
 @dataclass(frozen=True)
 class ElevationWitness:
-    """Z is X with fresh minima grown under r(z); r collapses them back,
-    and e is the section of r that sends the collapsed class to z."""
+    """Z is X with fresh minima grown under z. The maps are derived, not
+    stored: r collapses z's down-set to its class, the one node of X inside
+    it, and e is the section of r that sends the class back to z."""
 
     Z: Poset
     z: NodeId
     X: Poset
-    r: PosetMap  # Z -> X, glues the down-set of z
-    e: PosetMap  # X -> Z, the unique section fixing z
+
+    @cached_property
+    def _collapse(self) -> tuple[frozenset[NodeId], NodeId]:
+        """z's down-set in Z and its class c: the one node of X inside it,
+        with X's other nodes exactly Z's outside it."""
+        Z, z, X = self.Z, self.z, self.X
+        down = Z.down_set(z)
+        inside = down.intersection(X.nodes)
+        if len(inside) != 1 or X._up.keys() - inside != Z._up.keys() - down:
+            raise InternalInvariantError("X is not Z with the down-set of z collapsed to one node")
+        [c] = inside
+        return down, c
+
+    @cached_property
+    def r(self) -> PosetMap:
+        """Z -> X, gluing the down-set of z to its class."""
+        down, c = self._collapse
+        return PosetMap(self.Z, self.X, {w: c if w in down else w for w in self.Z.nodes})
+
+    @cached_property
+    def e(self) -> PosetMap:
+        """X -> Z, the unique section of r that fixes z."""
+        _, c = self._collapse
+        return PosetMap(self.X, self.Z, {w: self.z if w == c else w for w in self.X.nodes})
 
     def validate(self) -> None:
-        """Check the four facts that imply the rest: z has height one; z is
+        """Check the three facts that imply the rest: z has height one; z is
         the only cover of every minimum below it; r glues Z along z's
-        down-set onto X; and e, from X into Z, is exactly the section of r
-        that sends the class back to z. r . e is then the identity, e fixes
-        the pivot and is an embedding (r preserves order, so e reflects it;
-        off the class X has Z's order, and the class lies below what z lies
-        below), Z is the down-set and e's image, and Z's minima are the fresh
-        ones and e's image of X's other minima. A bad witness raises
-        InternalInvariantError."""
-        Z, z, X, r, e = self.Z, self.z, self.X, self.r, self.e
+        down-set onto X. The section e holds by construction. r . e is then
+        the identity, e fixes the pivot and is an embedding (r preserves
+        order, so e reflects it; off the class X has Z's order, and the class
+        lies below what z lies below), Z is the down-set and e's image, and
+        Z's minima are the fresh ones and e's image of X's other minima. A
+        bad witness raises InternalInvariantError."""
+        Z, z, X = self.Z, self.z, self.X
+        down, _ = self._collapse
         if Z.height(z) != 1:
             raise InternalInvariantError(f"pivot {z!r} does not have height one")
         shared = _shared_minima(Z, z)
         if shared:
             raise InternalInvariantError(f"{z!r} is not the only cover of {shared[0]!r}")
-        down = Z.down_set(z)
-        report = verify_gluing(Z, X, r, (down,))
+        report = verify_gluing(Z, X, self.r, (down,))
         if not report:
             raise InternalInvariantError(f"r is not a gluing along the down-set: {report.reason}")
-        r_of = r.assignment
-        section = {r_of[w]: w for w in Z.nodes if w not in down}
-        section[r_of[z]] = z
-        if e.source != X or e.target != Z or e.assignment != section:
-            raise InternalInvariantError("e is not the section of r that fixes the pivot")
 
 
 def retract(Z: Poset, z: NodeId) -> ElevationWitness:
@@ -100,20 +120,12 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
     ``glue_along_complete`` names it, but X is derived from Z directly
     (``core._glued`` on the one down-set): it shares Z's up-set objects
     outside the down-set, so making X takes time linear in the size of Z
-    instead of a re-closure of the order. The section e sends each surviving
-    node to its unique preimage and c to z. ``validate`` checks r against
-    the canonical gluing and pins e to that section. ``gextension_step``
-    uses the unvalidated ``_retraction``: the elevation that undoes it is
-    validated once, when the script's step loop executes it.
+    instead of a re-closure of the order. The witness derives r and e from
+    (Z, z, X), and ``validate`` checks r against the canonical gluing.
+    ``gextension_step`` collapses its pivot's down-set with ``core._glued``
+    itself: its split loop has settled the preconditions, and the elevation
+    that undoes it is validated once, when the script's step loop executes it.
     """
-    result = _retraction(Z, z)
-    result.validate()
-    return result
-
-
-def _retraction(Z: Poset, z: NodeId) -> ElevationWitness:
-    """``retract`` without ``validate``: the preconditions are checked, the
-    witness is not."""
     Z._check_node(z)
     if Z.height(z) != 1:
         raise NotHeightOne(f"{z!r} has height {Z.height(z)}, expected 1")
@@ -123,15 +135,9 @@ def _retraction(Z: Poset, z: NodeId) -> ElevationWitness:
         raise NotUniqueCover(
             f"{w!r} below {z!r} has covers {sorted(Z.upper_covers(w))!r}", node=w
         )
-    down = Z.down_set(z)
-    X = _glued(Z, (down,))
-    c = min(down)
-    r = PosetMap(Z, X, {w: c if w in down else w for w in Z.nodes})
-    # every node outside the down-set is alone in its fiber
-    e_assignment = {w: w for w in Z.nodes if w not in down}
-    e_assignment[c] = z
-    e = PosetMap(X, Z, e_assignment)
-    return ElevationWitness(Z, z, X, r, e)
+    result = ElevationWitness(Z, z, _glued(Z, (Z.down_set(z),)))
+    result.validate()
+    return result
 
 
 def elevate(
@@ -142,7 +148,7 @@ def elevate(
     Z is derived from X directly (``core._elevated``): it reuses X's up-set
     objects and gives each fresh q the up-set ``{q} | up(p)``, so making Z
     takes time linear in its size instead of a re-closure of the order.
-    ``validate`` checks the result by the four facts that imply the rest.
+    ``validate`` checks the result by the three facts that imply the rest.
     """
     X._check_node(p)
     if p not in X.min_nodes():
@@ -158,10 +164,7 @@ def elevate(
         for q in fresh_ids:
             if q in X:
                 raise InputError(f"fresh id {q!r} already present")
-    Z = _elevated(X, p, fresh_ids)
-    r = PosetMap(Z, X, {**{x: x for x in X.nodes}, **{q: p for q in fresh_ids}})
-    e = inclusion_map(X, Z)
-    result = ElevationWitness(Z, p, X, r, e)
+    result = ElevationWitness(_elevated(X, p, fresh_ids), p, X)
     result.validate()
     return result
 
@@ -197,15 +200,29 @@ def _shared_minima(F: Poset, x: NodeId) -> list[NodeId]:
 
 @dataclass(frozen=True)
 class GExtension:
-    """One growth-and-glue move: f1 = height-zero gluing h of an elevation Z of f2."""
+    """One growth-and-glue move: f1 = height-zero gluing h of an elevation Z
+    of f2. Only h, the pivot and f2 are stored; the rest is derived."""
 
-    f1: Poset
-    f2: Poset
-    Z: Poset
-    e: PosetMap  # f2 -> Z elevation map
     h: PosetMap  # Z -> f1 height-zero gluing map
     pivot: NodeId  # the retracted node, in Z
-    retraction: ElevationWitness
+    f2: Poset
+
+    @property
+    def f1(self) -> Poset:
+        return self.h.target
+
+    @property
+    def Z(self) -> Poset:
+        return self.h.source
+
+    @property
+    def retraction(self) -> ElevationWitness:
+        return ElevationWitness(self.Z, self.pivot, self.f2)
+
+    @property
+    def e(self) -> PosetMap:
+        """f2 -> Z, the elevation map."""
+        return self.retraction.e
 
     def gluing_witness(self) -> GluingWitness:
         return GluingWitness(self.Z, self.f1, self.h, fiber_collection(self.h))
@@ -225,10 +242,11 @@ def gextension_step(F1: Poset) -> GExtension:
     minimal node under the pivot has another cover, split the least such node;
     the shared-minima count strictly drops each round. The shared minima are
     listed once per round: the pivot has height one, so the minimal nodes
-    under it are the ones it covers. Then retract the pivot's down-set.
-    Only preconditions and termination are checked here: the splits'
-    preconditions, the drop of the shared-minima count, and the retraction's
-    pivot and unique covers (``_retraction``, which skips ``validate``).
+    under it are the ones it covers. Then collapse the pivot's down-set with
+    ``core._glued``. Only preconditions and termination are checked here: the
+    splits' preconditions and the drop of the shared-minima count. The
+    collapse checks nothing: the loop exits when the pivot is the only cover
+    of every minimum below it, and ``_pivot`` chose it at height one.
     ``_split_by_rank`` does not check its result: a split renames every node
     but the split minimum and keeps its height and depth, so the pivot lifts
     to one node of height one on a longest chain, and a split that broke this
@@ -258,16 +276,7 @@ def gextension_step(F1: Poset) -> GExtension:
                 f"shared-minima count failed to drop: {m} -> {len(shared)}"
             )
 
-    retraction = _retraction(F, y)
-    return GExtension(
-        f1=F1,
-        f2=retraction.X,
-        Z=F,
-        e=retraction.e,
-        h=h,
-        pivot=y,
-        retraction=retraction,
-    )
+    return GExtension(h=h, pivot=y, f2=_glued(F, (F.down_set(y),)))
 
 
 def _eta(F: Poset) -> int:

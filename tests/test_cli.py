@@ -447,6 +447,19 @@ class TestGoldenScripts:
         assert code == 0
         assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
+    @pytest.mark.parametrize(
+        "golden,argv",
+        [
+            ("elevate-point.json", ["elevate", "point.poset", "--at", "p", "--count", "3"]),
+            ("retract-gext-z.json", ["retract", "gext-z.poset", "--at", "5"]),
+        ],
+    )
+    def test_witness_maps_are_byte_identical_to_the_pin(self, capsys, golden, argv):
+        argv = [fx(a) if a.endswith(".poset") else a for a in argv]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -590,6 +603,62 @@ class TestCommandFuzz:
             assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), name
             checked += 1
         assert checked == (12 if args[slot].endswith(".poset") else 11)
+
+
+# fuzzed flag values; every count stays small, since a count of N grows N nodes
+FLAG_FUZZ = {
+    "elevate": [
+        *(
+            ["elevate", poset, "--at", at, "--count", str(n)]
+            for poset, at in (("point.poset", "p"), ("x9.poset", "10"))
+            for n in range(-2, 7)
+        ),
+        *(["elevate", "x9.poset", "--at", at] for at in ("zz", "", "p0", "1")),
+        *(["retract", "gext-z.poset", "--at", at] for at in ("zz", "", "p0", "6R")),
+    ],
+    "wrap": [
+        *(
+            ["decompose", "diamond.poset", "--wrap", f"{key}={n}"]
+            for key in ("min-height", "min-dim")
+            for n in range(-2, 9)
+        ),
+        *(
+            ["decompose", "diamond.poset", "--wrap", token]
+            for token in ("min-height", "=1e3", "single-min=1", "min-dim=1e3", ",,", "single-min")
+        ),
+    ],
+    "random": [
+        ["random", "--seed", "0", "--nodes", str(n), "--p", p]
+        for n in range(-1, 13)
+        for p in ("-0.5", "-0.0", "0", "1", "1.5", "nan", "inf")
+    ],
+}
+
+
+class TestFlagFuzz:
+    """Fuzzed flag values (ids, counts, ``--wrap`` tokens, ``random`` sizes
+    and probabilities) exit 0, or 2 with one stderr line and no output."""
+
+    @pytest.mark.parametrize("group", sorted(FLAG_FUZZ))
+    def test_fuzzed_flags_keep_the_exit_contract(self, capsys, group):
+        codes = []
+        for argv in FLAG_FUZZ[group]:
+            argv = [fx(a) if a.endswith(".poset") else a for a in argv]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code in (0, 2), (argv, captured.err)
+            if code == 2:
+                assert captured.out == "", argv
+                assert captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
+            else:
+                assert captured.err == "", argv
+            codes.append(code)
+        # (exit 0, exit 2)
+        assert (codes.count(0), codes.count(2)) == {
+            "elevate": (12, 14),
+            "random": (36, 62),
+            "wrap": (20, 8),
+        }[group]
 
 
 class TestReplayFuzz:

@@ -120,29 +120,25 @@ class TestLocalConstructorsValidate:
         assert validated == [grown, back]
 
 
-class TestValidateSection:
-    """``validate`` pins e to the section X -> Z of r, endpoints included,
-    and reports every bad section as an internal invariant."""
+class TestMalformedWitness:
+    """A witness stores only (Z, z, X), so a bad section cannot be built. An X
+    that is not Z with z's down-set collapsed to one node makes ``validate``,
+    ``r`` and ``e`` raise an internal invariant, never a lookup error."""
 
-    def test_a_section_into_another_poset_on_the_same_ids_is_rejected(self):
-        w = elevate(build(["p"], []), "p", 1)
-        e = PosetMap(w.X, build(w.Z.nodes, []), w.e.assignment)
-        with pytest.raises(InternalInvariantError, match="section"):
-            ElevationWitness(w.Z, w.z, w.X, w.r, e).validate()
-
-    def test_a_section_from_another_poset_on_the_same_ids_is_rejected(self):
-        w = elevate(chain("a", "b"), "a", 1)
-        e = PosetMap(build(w.X.nodes, []), w.Z, w.e.assignment)
-        with pytest.raises(InternalInvariantError):
-            ElevationWitness(w.Z, w.z, w.X, w.r, e).validate()
-
-    def test_a_section_that_is_not_order_preserving_is_an_invariant_error(self):
-        # a < b in X, but a and b are unrelated in the section's target
-        w = elevate(chain("a", "b"), "a", 1)
-        e = PosetMap(w.X, build(w.Z.nodes, []), w.e.assignment)
-        assert not is_poset_map(e)
-        with pytest.raises(InternalInvariantError, match="section"):
-            ElevationWitness(w.Z, w.z, w.X, w.r, e).validate()
+    @pytest.mark.parametrize("use", ["validate", "r", "e"])
+    def test_malformed_x_is_an_invariant_error(self, gext_z, use):
+        w = retract(gext_z, "5")
+        assert w.Z.down_set("5") == {"5", "6R", "6RR"}
+        malformed = [
+            w.X.induced([x for x in w.X.nodes if x != "6L"]),  # a node missing
+            w.X.induced([x for x in w.X.nodes if x != "5"]),  # the class missing
+            build([*w.X.nodes, "new"], w.X.covers),  # an extra node
+            build([*w.X.nodes, "6R"], w.X.covers),  # two nodes in the down-set
+        ]
+        for X in malformed:
+            bad = ElevationWitness(w.Z, w.z, X)
+            with pytest.raises(InternalInvariantError, match="collapsed to one node"):
+                bad.validate() if use == "validate" else getattr(bad, use)
 
 
 class TestElevate:
@@ -531,7 +527,8 @@ class TestOneForwardPath:
     @pytest.mark.parametrize("seed", range(4))
     def test_each_step_is_executed_once(self, monkeypatch, x9, seed):
         X = x9 if seed == 0 else random_poset(seed, 30, 0.15)
-        # gext's own bindings; _glued is not counted, as _retraction calls it too
+        # gext's own bindings; _glued is not counted, as gextension_step's
+        # down-set collapse calls it too
         calls = {"_run_steps": 0, "elevate": 0, "_verify_height_zero_quotient": 0}
         for name in calls:
 
@@ -577,27 +574,24 @@ class TestOneForwardPath:
 
     @pytest.fixture
     def corrupt_retraction(self, monkeypatch):
-        """The first retraction whose X has a cover from a node with two upper
-        covers returns X without the least such cover, which leaves X
-        connected, so the backward pass still reaches a point. The corrupted
-        witnesses are collected."""
-        real = gext._retraction
+        """The first G-extension step whose f2 has a cover from a node with
+        two upper covers returns f2 without the least such cover, which leaves
+        f2 connected, so the backward pass still reaches a point. The
+        corrupted steps are collected."""
+        real = gext.gextension_step
         corrupted = []
 
-        def corrupting(Z, z):
-            w = real(Z, z)
-            uppers = w.X._cover_lists(upper=True)
-            shared = sorted((a, b) for a, b in w.X.covers if len(uppers[a]) > 1)
+        def corrupting(F1):
+            gx = real(F1)
+            uppers = gx.f2._cover_lists(upper=True)
+            shared = sorted((a, b) for a, b in gx.f2.covers if len(uppers[a]) > 1)
             if corrupted or not shared:
-                return w
-            X = build(w.X.nodes, w.X.covers - {shared[0]})
-            bad = ElevationWitness(
-                w.Z, w.z, X, PosetMap(w.Z, X, w.r.assignment), PosetMap(X, w.Z, w.e.assignment)
-            )
+                return gx
+            bad = replace(gx, f2=build(gx.f2.nodes, gx.f2.covers - {shared[0]}))
             corrupted.append(bad)
             return bad
 
-        monkeypatch.setattr(gext, "_retraction", corrupting)
+        monkeypatch.setattr(gext, "gextension_step", corrupting)
         return corrupted
 
     def test_corrupted_retraction_is_an_internal_error(self, x9, corrupt_retraction):
@@ -607,7 +601,7 @@ class TestOneForwardPath:
             decompose_to_point(x9)
         [bad] = corrupt_retraction
         with pytest.raises(InternalInvariantError):
-            bad.validate()
+            bad.retraction.validate()
 
     def test_corrupted_retraction_exits_3(self, capsys, corrupt_retraction):
         code = main(["decompose", str(FIXTURES / "x9.poset")])
