@@ -2,7 +2,7 @@
 
 A chain decomposition rebuilds a poset as a disjoint sum of fresh chains, one
 per maximal chain, glued back together fiber by fiber; gluing the sum along a
-subcollection of fibers, in one ``glue_along_collection`` call, gives the
+subcollection of fibers, in one ``gluing._quotient`` call, gives the
 posets in between. Splitting a minimal node u is the gluing along every fiber
 except u's, with u's copies merged per cover only. The chain sum has one node
 per node of every maximal chain, so building it is exponential on wide
@@ -40,7 +40,7 @@ from .errors import (
     NotASubcollection,
     NotMinimal,
 )
-from .gluing import fiber_collection, glue_along_collection, verify_gluing
+from .gluing import _quotient, fiber_collection, verify_gluing
 from .morphism import PosetMap, identity_map, poset_map_violation
 
 
@@ -118,18 +118,19 @@ def glue_D_along_subcollection(
     """Glue the chain sum along a subset of phi's fibers in one pass.
 
     Each glued fiber keeps its least id. The result F sits between D and X:
-    t_F and f_F are gluing maps composing to phi.
+    t_F and f_F are gluing maps composing to phi. Nontrivial fibers of phi
+    are disjoint and complete, so once each chosen set is checked to be one,
+    the distinct ones go to ``_quotient`` sorted by least id.
     """
     fibers = set(cd.fibers())
-    chosen = []
-    for E in subcollection:
-        E = frozenset(E)
+    chosen = set()
+    for E in map(frozenset, subcollection):
         if E not in fibers:
             raise NotASubcollection(f"{sorted(E)!r} is not a nontrivial fiber")
-        chosen.append(E)
-    w = glue_along_collection(cd.D, chosen)
-    f = PosetMap(w.target, cd.X, {w.map(d): cd.phi(d) for d in cd.D.nodes})
-    result = SplitResult(w.target, w.map, f)
+        chosen.add(E)
+    F, name_of = _quotient(cd.D, sorted(chosen, key=min))
+    f = PosetMap(F, cd.X, {name_of[d]: cd.phi(d) for d in cd.D.nodes})
+    result = SplitResult(F, PosetMap(cd.D, F, name_of), f)
     _check_split(cd, result)
     return result
 

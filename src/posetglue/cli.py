@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
-invariant violation. `-` reads stdin / writes stdout.
+Exit codes: 0 success, 1 verification failure, 2 input error (usage errors
+included), 3 internal invariant violation. Every failure prints one stderr
+line. `-` reads stdin / writes stdout.
 """
 
 from __future__ import annotations
@@ -12,12 +13,7 @@ import sys
 
 from . import documents, gluing, morphism
 from .chains import split_for_cover
-from .errors import (
-    InputError,
-    InternalInvariantError,
-    PosetError,
-    VerificationFailure,
-)
+from .errors import InputError, InternalInvariantError, VerificationFailure
 from .gext import WrapOptions, decompose_to_point, elevate, replay, retract
 from .generate import random_poset
 from .morphism import PosetMap
@@ -209,8 +205,17 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors, so they keep
+    the one-line contract instead of printing a usage line and exiting.
+    Subcommand parsers are made with the same class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posetglue",
         description="Finite poset algebra: gluings, splits, and replayable growth scripts.",
     )
@@ -277,9 +282,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.func(args)
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
@@ -292,9 +296,6 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PosetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # anything else is a bug; repr keeps it on one line
         print(f"internal error: {exc!r}", file=sys.stderr)

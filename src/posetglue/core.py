@@ -77,6 +77,13 @@ class Poset:
         if x not in self._up:
             raise UnknownNode(f"unknown node {x!r}")
 
+    def _check_nodes(self, S: Iterable[NodeId], message: str = "unknown node") -> None:
+        """Raise UnknownNode naming the least id of S outside the poset, so
+        the id named does not depend on set iteration order."""
+        unknown = [x for x in S if x not in self._up]
+        if unknown:
+            raise UnknownNode(f"{message} {min(unknown)!r}")
+
     def _check_nonempty(self) -> None:
         if not self.nodes:
             raise EmptyPoset("operation undefined on the empty poset")
@@ -221,15 +228,13 @@ class Poset:
 
     def is_antichain(self, S: Iterable[NodeId]) -> bool:
         S = frozenset(S)
-        for x in S:
-            self._check_node(x)
+        self._check_nodes(S)
         return all(not self.lt(a, b) for a in S for b in S)
 
     def is_complete_subset(self, S: Iterable[NodeId]) -> bool:
         """True iff S is interval-closed: u <= y <= v with u, v in S forces y in S."""
         S = frozenset(S)
-        for x in S:
-            self._check_node(x)
+        self._check_nodes(S)
         if not S:
             return True
         # a node above some member of S but outside S must not lie below one
@@ -239,8 +244,7 @@ class Poset:
     def induced(self, S: Iterable[NodeId]) -> "Poset":
         """Subposet on S with the order inherited from self."""
         S = frozenset(S)
-        for x in S:
-            self._check_node(x)
+        self._check_nodes(S)
         relation = {(a, b) for a in S for b in S if self.lt(a, b)}
         return build(S, relation)
 

@@ -225,8 +225,7 @@ def _dot_id(x: NodeId) -> str:
 def emit_dot(P: Poset, highlight=()) -> str:
     """Graphviz text: edges run bottom-to-top, nodes ranked by height."""
     highlight = frozenset(highlight)
-    for x in highlight:
-        P._check_node(x)
+    P._check_nodes(highlight)
     lines = ["digraph poset {", "  rankdir=BT;", '  node [shape=circle, fontsize=10];']
     by_height: dict[int, list[str]] = {}
     for x in P.nodes:

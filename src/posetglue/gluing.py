@@ -1,14 +1,21 @@
 """Gluing calculus: canonical quotients along interval-closed sets.
 
-``glue_along_collection`` is the one quotient constructor. It merges
-overlapping members into their unions and names every node by its member's
-least id, so outputs are reproducible and quotient maps are readable. When
-the members are down-sets (height-zero gluings and retractions) the quotient
-is derived from the source's up-sets by ``core._glued``; other complete
-members are built once from the image of the cover relation.
-``glue_along_complete`` is its one-member case, with its own input checks and
-messages. CLI ``glue`` prints ``glue_along_collection``'s result as built:
-``verify_gluing`` would rebuild the same quotient with the same code.
+``_quotient`` is the one quotient constructor, private and unchecked. It
+takes normalized members (disjoint, complete, two or more ids, sorted by
+least id) and names every node by its member's least id, so outputs are
+reproducible and quotient maps are readable. When the members are down-sets
+(height-zero gluings and retractions) the quotient is derived from the
+source's up-sets by ``core._glued``; other members are built once from the
+image of the cover relation. Each public entry checks its own input once and
+then calls it: ``glue_along_collection`` checks that every member is complete
+and merges overlapping members (``normalize_collection``);
+``glue_along_complete`` is the one-member case, with its own checks and
+messages. Callers that have already proved those facts call ``_quotient``
+directly: ``verify_gluing`` once its pointwise checks show the members are
+g's fibers, ``_name_incomplete_stage`` after its per-stage check and
+``chains.glue_D_along_subcollection`` after its fiber check. CLI ``glue``
+prints ``glue_along_collection``'s result as built: ``verify_gluing`` would
+rebuild the same quotient with the same code.
 ``verify_gluing`` certifies an arbitrary (X, Y, g, collection) claim by its
 pointwise checks, then rebuilds the canonical quotient and checks that the
 comparison map carries its covers onto Y's, which pins the claim up to
@@ -81,30 +88,16 @@ def normalize_collection(
 ) -> tuple[frozenset[NodeId], ...]:
     """Merge overlapping members into unions, drop empties and singletons.
 
-    Sorted by least member, so downstream gluing order is deterministic.
+    One pass: each member absorbs the unions it meets. Sorted by least
+    member, so downstream gluing order is deterministic.
     """
-    members = []
+    union_of: dict[NodeId, frozenset[NodeId]] = {}
     for C in collection:
         C = frozenset(C)
-        for x in C:
-            if x not in X:
-                raise UnknownNode(f"collection references unknown node {x!r}")
-        if len(C) >= 1:
-            members.append(set(C))
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if members[i] & members[j]:
-                    members[i] |= members[j]
-                    del members[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    out = [frozenset(m) for m in members if len(m) >= 2]
-    return tuple(sorted(out, key=min))
+        X._check_nodes(C, "collection references unknown node")
+        C = C.union(*{union_of[x] for x in C if x in union_of})
+        union_of.update(dict.fromkeys(C, C))
+    return tuple(sorted((U for U in set(union_of.values()) if len(U) >= 2), key=min))
 
 
 def fiber_collection(g: PosetMap) -> tuple[frozenset[NodeId], ...]:
@@ -131,13 +124,10 @@ def glue_along_complete(X: Poset, S: Iterable[NodeId]) -> GluingWitness:
     S = frozenset(S)
     if not S:
         raise EmptySet("cannot glue along the empty set")
-    for x in S:
-        if x not in X:
-            raise UnknownNode(f"unknown node {x!r}")
     if not X.is_complete_subset(S):
         raise NotComplete(f"set {sorted(S)!r} is not interval-closed")
-    w = glue_along_collection(X, (S,))
-    return GluingWitness(X, w.target, w.map, (S,))
+    Y, name_of = _quotient(X, (S,) if len(S) >= 2 else ())
+    return GluingWitness(X, Y, PosetMap(X, Y, name_of), (S,))
 
 
 def glue_along_collection(
@@ -146,43 +136,49 @@ def glue_along_collection(
     """Quotient X along a collection in one pass.
 
     Every member must be complete in X. Members are normalized (overlaps
-    merged) and each node is named by its member's least id. When every
-    member is a down-set, as on every height-zero gluing and retraction, the
-    quotient is derived from X's up-sets (``core._glued``); one pass over the
-    covers decides that, since a member is a down-set iff every cover that
-    ends in it starts in it. Otherwise it is built once from the image of X's
-    covers. This equals gluing the members one at a time in normalized order:
-    the order generated by the image of the covers is the same either way,
-    and some member stops being complete at its stage exactly when the
-    one-pass relation has a cycle (disjoint down-sets never form one). Only
-    then is the stagewise fold run, so NotComplete names the first such
-    member.
+    merged) and glued by ``_quotient``. This equals gluing the members one
+    at a time in normalized order: the order generated by the image of the
+    covers is the same either way, and some member stops being complete at
+    its stage exactly when the one-pass relation has a cycle (disjoint
+    down-sets never form one). Only then is the stagewise fold run, so
+    NotComplete names the first such member.
     """
     collection = [frozenset(C) for C in collection]
     for C in collection:
         if C and not X.is_complete_subset(C):
             raise NotComplete(f"member {sorted(C)!r} is not interval-closed in the source")
     members = normalize_collection(X, collection)
+    try:
+        Y, name_of = _quotient(X, members)
+    except CycleDetected:
+        _name_incomplete_stage(X, members)
+        raise InternalInvariantError(
+            "quotient relation has a cycle, yet every stage is complete"
+        )
+    return GluingWitness(X, Y, PosetMap(X, Y, name_of), members)
+
+
+def _quotient(
+    X: Poset, members: Sequence[frozenset[NodeId]]
+) -> tuple[Poset, dict[NodeId, NodeId]]:
+    """X glued along normalized members, and each node's class name.
+
+    The caller has checked that the members are disjoint and complete, with
+    two or more ids each, sorted by least id. Each class is named by its
+    least id. When every member is a down-set the quotient is derived from
+    X's up-sets (``core._glued``); one pass over the covers decides that,
+    since a member is a down-set iff every cover that ends in it starts in
+    it. Otherwise it is built once from the image of X's covers, and
+    CycleDetected means some member is not complete at its stage.
+    """
     least_of: dict[NodeId, NodeId] = {}
     for C in members:
-        least = min(C)
-        for x in C:
-            least_of[x] = least
+        least_of.update(dict.fromkeys(C, min(C)))
     name_of = {x: least_of.get(x, x) for x in X.nodes}
     if all(least_of.get(a) == least_of[b] for a, b in X.covers if b in least_of):
-        Y = _glued(X, members) if members else X
-    else:
-        relation = {
-            (name_of[a], name_of[b]) for a, b in X.covers if name_of[a] != name_of[b]
-        }
-        try:
-            Y = build(set(name_of.values()), relation)
-        except CycleDetected:
-            _name_incomplete_stage(X, members)
-            raise InternalInvariantError(
-                "quotient relation has a cycle, yet every stage is complete"
-            )
-    return GluingWitness(X, Y, PosetMap(X, Y, name_of), members)
+        return (_glued(X, members) if members else X), name_of
+    relation = {(name_of[a], name_of[b]) for a, b in X.covers if name_of[a] != name_of[b]}
+    return build(set(name_of.values()), relation), name_of
 
 
 def _name_incomplete_stage(X: Poset, members: tuple[frozenset[NodeId], ...]) -> None:
@@ -198,7 +194,7 @@ def _name_incomplete_stage(X: Poset, members: tuple[frozenset[NodeId], ...]) -> 
             raise NotComplete(
                 f"image {sorted(C)!r} of member {sorted(C)!r} is not interval-closed at its stage"
             )
-        current = glue_along_collection(current, (C,)).target
+        current = _quotient(current, (C,))[0]
 
 
 def is_height_zero_gluing(w: GluingWitness) -> bool:
@@ -302,10 +298,12 @@ def verify_gluing(
     # exists; g is surjective, so phi: class of x -> g(x) is a bijection onto
     # Y, order-preserving because g is, and an isomorphism iff it carries the
     # canonical covers onto Y's covers.
-    canonical = glue_along_collection(X, members)
-    Q = canonical.target
+    try:
+        Q, name_of = _quotient(X, members)
+    except CycleDetected as exc:
+        raise InternalInvariantError(f"the fibers of a poset map glue into a cycle: {exc}") from exc
     g_of = g.assignment
-    phi = {q: g_of[x] for x, q in canonical.map.assignment.items()}
+    phi = {q: g_of[x] for x, q in name_of.items()}
     images = {(phi[a], phi[b]) for a, b in Q.covers}
     if images == Y.covers:
         return GluingReport(True)
@@ -394,7 +392,7 @@ def find_c_sequence(
     members = [frozenset(C) for C in collection]
     seen: set[NodeId] = set()
     for C in members:
-        for v in C:
+        for v in sorted(C):
             if v not in X:
                 raise UnknownNode(f"collection references unknown node {v!r}")
             if v in seen:

@@ -161,9 +161,7 @@ def is_isomorphism(f: PosetMap) -> bool:
 def saturated_subset_violation(P: Poset, Z: Iterable[NodeId]) -> Optional[tuple[NodeId, NodeId]]:
     """An induced cover of Z that is not a cover of P, or None."""
     Z = frozenset(Z)
-    for x in Z:
-        if x not in P:
-            raise UnknownNode(f"unknown node {x!r}")
+    P._check_nodes(Z)
     up = P._up
     # Z is saturated iff everything of Z above u lies above an upper cover of
     # u in Z: then each minimal one is such a cover, and conversely.

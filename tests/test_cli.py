@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -414,6 +415,66 @@ class TestInputErrors:
         assert "not valid UTF-8" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["info"],
+            ["info", "point.poset", "extra"],
+            ["elevate", "point.poset"],
+            ["elevate", "point.poset", "--at", "p", "--nope"],
+            ["glue", "diamond.poset"],
+            ["random", "--seed", "1", "--nodes", "3"],
+        ],
+    )
+    def test_usage_error_is_a_one_line_input_error(self, capsys, argv):
+        code = main([fx(a) if a.endswith(".poset") else a for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("input error: posetglue")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_ill_typed_flag_names_the_flag_on_one_line(self, capsys):
+        code = main(["elevate", fx("point.poset"), "--at", "p", "--count", "x"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: posetglue elevate: argument --count: invalid int value: 'x'\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["--help"], ["elevate", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.startswith("usage: posetglue")
+        assert captured.err == ""
+
+    @pytest.mark.parametrize(
+        "argv, least",
+        [
+            (["glue", "diamond.poset", "--along", "zz,yy,xx,ww"], "ww"),
+            (["render", "diamond.poset", "--highlight", "zz,yy,xx"], "xx"),
+        ],
+    )
+    def test_unknown_ids_name_the_least_under_any_hash_seed(self, argv, least):
+        argv = [fx(a) if a.endswith(".poset") else a for a in argv]
+        errs = set()
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "posetglue.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 2 and proc.stdout == ""
+            errs.add(proc.stderr)
+        assert errs == {f"input error: unknown node {least!r}\n"}
+
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom\nsecond line")
@@ -632,12 +693,19 @@ FLAG_FUZZ = {
         for n in range(-1, 13)
         for p in ("-0.5", "-0.0", "0", "1", "1.5", "nan", "inf")
     ],
+    "ill-typed": [
+        *(["elevate", "point.poset", "--at", "p", "--count", v] for v in ("x", "1.5", "", "0x1", "-x")),
+        *(["random", "--seed", v, "--nodes", "3", "--p", "0.5"] for v in ("x", "1.0")),
+        *(["random", "--seed", "0", "--nodes", v, "--p", "0.5"] for v in ("two", "3.0")),
+        *(["random", "--seed", "0", "--nodes", "3", "--p", v] for v in ("q", "", "0.5.5")),
+    ],
 }
 
 
 class TestFlagFuzz:
     """Fuzzed flag values (ids, counts, ``--wrap`` tokens, ``random`` sizes
-    and probabilities) exit 0, or 2 with one stderr line and no output."""
+    and probabilities, and values of the wrong type) exit 0, or 2 with one
+    stderr line and no output."""
 
     @pytest.mark.parametrize("group", sorted(FLAG_FUZZ))
     def test_fuzzed_flags_keep_the_exit_contract(self, capsys, group):
@@ -656,6 +724,7 @@ class TestFlagFuzz:
         # (exit 0, exit 2)
         assert (codes.count(0), codes.count(2)) == {
             "elevate": (12, 14),
+            "ill-typed": (0, 12),
             "random": (36, 62),
             "wrap": (20, 8),
         }[group]

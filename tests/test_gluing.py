@@ -18,6 +18,7 @@ from posetglue import (
     PosetMap,
     build,
     check_dim_min_preservation,
+    elevate,
     find_c_sequence,
     find_isomorphism,
     glue_along_collection,
@@ -31,6 +32,8 @@ from posetglue import (
     lift_cover,
     verify_gluing,
 )
+from posetglue import gluing
+from posetglue.core import Poset
 from posetglue.generate import random_poset
 
 from conftest import complete_closure
@@ -232,6 +235,29 @@ class TestVerifyGluing:
         bigger = build(list(diamond_split.nodes) + ["extra"], list(diamond_split.covers))
         g2 = PosetMap(diamond_split, bigger, {x: x for x in diamond_split.nodes})
         assert not verify_gluing(diamond_split, bigger, g2, [])
+
+    def test_an_elevation_is_certified_without_the_public_checks(self, monkeypatch, x9):
+        """The pointwise checks show the members are g's fibers, so the
+        quotient is rebuilt with no completeness check, one normalization and
+        no public gluing."""
+        calls = {"is_complete_subset": 0, "normalize_collection": 0, "glue_along_collection": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        w = elevate(x9, min(x9.min_nodes()), 2)
+        down = w.Z.down_set(w.z)
+        counted(Poset, "is_complete_subset")
+        counted(gluing, "normalize_collection")
+        counted(gluing, "glue_along_collection")
+        assert verify_gluing(w.Z, w.X, w.r, (down,))
+        assert calls == {"is_complete_subset": 0, "normalize_collection": 1, "glue_along_collection": 0}
 
 
 class TestCSequences:

@@ -14,8 +14,11 @@ the per-minimum scan, and ``random_poset`` hands ``build`` only its covers
 and is checked against ``build`` on every pair it drew.
 
 ``glue_D_along_subcollection`` glues the chain sum along its fibers in one
-``glue_along_collection`` call; it is checked against the fiber-by-fiber
+``gluing._quotient`` call; it is checked against the fiber-by-fiber
 fold it replaced, kept here with the pairwise relation as each step.
+``normalize_collection`` merges overlapping members in one pass; it is
+checked against the loop it replaced, which restarted its pairwise scan
+after every merge, on overlapping, repeated and chained members.
 
 ``glue_along_collection`` makes the quotient in one pass and
 ``verify_gluing`` compares covers; both are checked against the stagewise
@@ -799,6 +802,73 @@ def test_verify_gluing_matches_the_stagewise_verdict(small_posets):
                 assert verify_gluing(X, Y, g, collection)
     for seen in reasons.values():
         assert {"ok", "not a poset map", "comparison map is not an isomorphism"} <= seen
+
+
+def restart_normalize_collection(X, collection):
+    """The merge loop ``normalize_collection`` replaced: after each merge the
+    pairwise scan starts again from the first member. Ids are checked in
+    sorted order, so an unknown one named is the least of its member."""
+    members = []
+    for C in collection:
+        C = frozenset(C)
+        for x in sorted(C):
+            if x not in X:
+                raise UnknownNode(f"collection references unknown node {x!r}")
+        if len(C) >= 1:
+            members.append(set(C))
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                if members[i] & members[j]:
+                    members[i] |= members[j]
+                    del members[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    out = [frozenset(m) for m in members if len(m) >= 2]
+    return tuple(sorted(out, key=min))
+
+
+def overlapping_collections(X, rng):
+    """Members of up to four ids drawn from a few of X's nodes, so they
+    overlap, repeat and chain together; empty members and singletons too.
+    Then one member with two unknown ids."""
+    nodes = list(X.nodes)
+    pool = rng.sample(nodes, min(len(nodes), rng.randint(2, 6)))
+    for _ in range(4):
+        yield [
+            rng.sample(pool, rng.randint(0, min(4, len(pool))))
+            for _ in range(rng.randint(1, 8))
+        ]
+    yield [[nodes[0]], ["zz", nodes[-1], "no-such-node"]]
+
+
+def test_one_pass_normalization_equals_the_restart_loop(small_posets):
+    def result(normalize, X, collection):
+        try:
+            return normalize(X, collection)
+        except UnknownNode as exc:
+            return str(exc)
+
+    rng = random.Random(12)
+    tally = {"unknown": 0, "merged": 0, "chained": 0}
+    for X in gluing_posets(small_posets):
+        for collection in overlapping_collections(X, rng):
+            got = result(normalize_collection, X, collection)
+            assert got == result(restart_normalize_collection, X, collection)
+            if isinstance(got, str):
+                tally["unknown"] += 1
+                continue
+            sets = [frozenset(C) for C in collection]
+            if any(a & b for a, b in combinations(sets, 2)):
+                tally["merged"] += 1
+            # a union of three or more distinct members
+            if any(sum(1 for C in set(sets) if C and C <= U) >= 3 for U in got):
+                tally["chained"] += 1
+    assert tally == {"unknown": 465, "merged": 1402, "chained": 907}
 
 
 def elevation_posets(small_posets):
