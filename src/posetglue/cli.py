@@ -13,7 +13,7 @@ import sys
 
 from . import documents, gluing, morphism
 from .chains import split_for_cover
-from .errors import InputError, InternalInvariantError, VerificationFailure
+from .errors import BrokenEmbedding, InputError, InternalInvariantError, VerificationFailure
 from .gext import WrapOptions, decompose_to_point, elevate, replay, retract
 from .generate import random_poset
 from .morphism import PosetMap
@@ -79,8 +79,10 @@ def cmd_verify_embedding(args) -> int:
     ):
         pair = scan(f)
         if pair is not None:
-            _write(f"{rung}: no (violating {witness} {pair})\n")
-            return EXIT_VERIFICATION
+            # the report goes to stdout; the one stderr line repeats its verdict
+            verdict = f"{rung}: no (violating {witness} {pair})"
+            _write(verdict + "\n")
+            raise BrokenEmbedding(verdict, pair=pair)
         _write(f"{rung}: yes\n")
     _write(f"isomorphism: {'yes' if f.is_surjective() else 'no'}\n")
     return EXIT_OK

@@ -15,13 +15,14 @@ checks only the preconditions its moves need and that ``(dim, eta)``
 decreases; it validates neither its retractions nor its splits. The step loop
 is the one checker of each elevation and gluing, and each move is checked by
 the fewest facts that imply the rest: an elevation validates its witness by
-three facts (``ElevationWitness.validate``), and a glue step's quotient
-(``core._glued``) is checked against its closed form by
+two facts, its shape and its gluing (``ElevationWitness.validate``), and a
+glue step's quotient (``core._glued``) is checked against its closed form by
 ``gluing._verify_height_zero_quotient``, which reads only the input's up-sets
 and covers and rebuilds nothing. Witnesses store only what determines them:
 an ``ElevationWitness`` is (Z, z, X) and derives its maps r and e, and a
 ``GExtension`` is (h, pivot, f2). One rule, ``_shared_minima``, decides
-unique covers for the split loop, ``retract`` and the witness.
+unique covers for the split loop, ``retract`` and ``m_count``; the witness
+reads its shape off the covers in the one pass that also settles z's height.
 ``decompose_to_point``'s final isomorphism check catches a wrong split or
 retraction. The certificate shows that the original poset sits inside the
 reconstruction as a saturated subset; its check scans each rung of the
@@ -92,8 +93,11 @@ class ElevationWitness:
         return PosetMap(self.X, self.Z, {w: self.z if w == c else w for w in self.X.nodes})
 
     def validate(self) -> None:
-        """Check the three facts that imply the rest: z has height one; z is
-        the only cover of every minimum below it; r glues Z along z's
+        """Check the two facts that imply the rest. The shape: everything
+        strictly below z is a minimum that z alone covers, read in one pass
+        over Z's covers (no cover ends below z, and every cover that starts
+        there ends at z). That is z having height one and being the only
+        cover of every minimum below it. The gluing: r glues Z along z's
         down-set onto X. The section e holds by construction. r . e is then
         the identity, e fixes the pivot and is an embedding (r preserves
         order, so e reflects it; off the class X has Z's order, and the class
@@ -102,11 +106,11 @@ class ElevationWitness:
         bad witness raises InternalInvariantError."""
         Z, z, X = self.Z, self.z, self.X
         down, _ = self._collapse
-        if Z.height(z) != 1:
-            raise InternalInvariantError(f"pivot {z!r} does not have height one")
-        shared = _shared_minima(Z, z)
-        if shared:
-            raise InternalInvariantError(f"{z!r} is not the only cover of {shared[0]!r}")
+        below = down - {z}
+        if not below or any(b in below or (a in below and b != z) for a, b in Z.covers):
+            raise InternalInvariantError(
+                f"{z!r} is not a height-one node that alone covers each node below it"
+            )
         report = verify_gluing(Z, X, self.r, (down,))
         if not report:
             raise InternalInvariantError(f"r is not a gluing along the down-set: {report.reason}")
@@ -120,8 +124,9 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
     ``glue_along_complete`` names it, but X is derived from Z directly
     (``core._glued`` on the one down-set): it shares Z's up-set objects
     outside the down-set, so making X takes time linear in the size of Z
-    instead of a re-closure of the order. The witness derives r and e from
-    (Z, z, X), and ``validate`` checks r against the canonical gluing.
+    instead of a re-closure of the order. The checks here name the faulty
+    node for the caller; the witness derives r and e from (Z, z, X), and
+    ``validate`` checks its shape and r against the canonical gluing.
     ``gextension_step`` collapses its pivot's down-set with ``core._glued``
     itself: its split loop has settled the preconditions, and the elevation
     that undoes it is validated once, when the script's step loop executes it.
@@ -148,7 +153,7 @@ def elevate(
     Z is derived from X directly (``core._elevated``): it reuses X's up-set
     objects and gives each fresh q the up-set ``{q} | up(p)``, so making Z
     takes time linear in its size instead of a re-closure of the order.
-    ``validate`` checks the result by the three facts that imply the rest.
+    ``validate`` checks the result by the two facts that imply the rest.
     """
     X._check_node(p)
     if p not in X.min_nodes():
@@ -397,14 +402,12 @@ def wrap(X: Poset, options: WrapOptions) -> tuple[Poset, PosetMap]:
 
 @dataclass(frozen=True)
 class ElevateStep:
-    kind = "elevate"
     target: NodeId
     fresh_ids: tuple[NodeId, ...]
 
 
 @dataclass(frozen=True)
 class GlueStep:
-    kind = "glue"
     partition: tuple[frozenset[NodeId], ...]
 
 

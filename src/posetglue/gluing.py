@@ -268,15 +268,15 @@ def verify_gluing(
     if not g.is_surjective():
         return GluingReport(False, "gluing map must be surjective")
 
+    # a member's ids are checked before g is read on it, so an unknown id is
+    # reported, and a member listed earlier that g is not constant on wins
     raw = [frozenset(C) for C in collection]
     for C in raw:
-        images = {g(x) for x in C}
-        if len(images) > 1:
+        if not X._up.keys() >= C:
+            return GluingReport(False, "collection references unknown nodes")
+        if len({g(x) for x in C}) > 1:
             return GluingReport(False, f"map is not constant on member {sorted(C)!r}")
-    try:
-        members = normalize_collection(X, raw)
-    except UnknownNode:
-        return GluingReport(False, "collection references unknown nodes")
+    members = normalize_collection(X, raw)
 
     member_of: dict[NodeId, frozenset[NodeId]] = {}
     for C in members:

@@ -8,12 +8,14 @@ those. Each rung's scan (``poset_map_violation``, ``_reflection_violation``,
 below once and raises from its result, and a verifier walking the ladder
 calls the three in turn. They read up-sets directly; ``PosetMap`` checked ids.
 
-Set algebra decides, scans name witnesses. ``PosetMap`` totality, the
-embedding test and the saturated-subset test first answer "no violation"
-with whole-set operations (key-view comparison, up-set intersections and
-differences), which run in C and are exact: each accepts exactly the inputs
-the per-node scan accepts. Only when that answer is no does the per-node scan
-run, so every witness, exception and message is the scan's.
+One pass per verdict. ``PosetMap`` decides totality by comparing key views
+and scans only to name a fault. The embedding test and the saturated-subset
+test each make one pass over the nodes, in the per-node scan's order, and a
+set-algebra test per node (up-set intersections and differences, run in C)
+clears a node when it holds. That test is exact per node: the subset test's
+always, the embedding test's when the map is injective (a map that is not
+clears no node). So the first node not cleared names the scan's witness at
+once, and every witness, exception and message is the scan's.
 """
 
 from __future__ import annotations
@@ -102,17 +104,15 @@ def is_poset_map(f: PosetMap) -> bool:
 def _reflection_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
     """A pair with f(x) <= f(y) but not x <= y, or None; f must be a poset map."""
     nodes, source_up, target_up, g = f.source.nodes, f.source._up, f.target._up, f.assignment
-    # An injective poset map sends up(x) into up(g x) & image; it reflects
-    # order iff nothing else lands there, i.e. iff the sizes match. A shared
-    # up-set object (the sections elevate and retract build) matches at once.
+    # An injective poset map sends up(x) into up(g x) & image; nothing else
+    # lands there iff the sizes match. A shared up-set object (the sections
+    # elevate and retract build) matches at once.
     image = frozenset(g.values())
-    if len(image) == len(nodes) and all(
-        target_up[g[x]] is source_up[x] or len(target_up[g[x]] & image) == len(source_up[x])
-        for x in nodes
-    ):
-        return None
+    injective = len(image) == len(nodes)
     for x in nodes:
         image_up, x_up = target_up[g[x]], source_up[x]
+        if injective and (image_up is x_up or len(image_up & image) == len(x_up)):
+            continue
         bad = [y for y in nodes if g[y] in image_up and y not in x_up]
         if bad:
             return (x, bad[0])
@@ -163,21 +163,14 @@ def saturated_subset_violation(P: Poset, Z: Iterable[NodeId]) -> Optional[tuple[
     Z = frozenset(Z)
     P._check_nodes(Z)
     up = P._up
-    # Z is saturated iff everything of Z above u lies above an upper cover of
-    # u in Z: then each minimal one is such a cover, and conversely.
     upper = P._cover_lists(upper=True)
-    if all(
-        not (up[u] & Z).difference((u,), *(up[c] for c in upper[u] if c in Z)) for u in Z
-    ):
-        return None
     for u in sorted(Z):
-        above = (up[u] & Z) - {u}
-        for v in sorted(above):
-            # v covers u inside Z unless another member of `above` lies below it
-            if any(v in up[w] for w in above if w != v):
-                continue
-            if (u, v) not in P.covers:
-                return (u, v)
+        # u is fine iff everything of Z above u lies above an upper cover of
+        # u in Z. The minimal nodes of the rest are exactly those that cover
+        # u inside Z but not in P, so the least of them is the scan's witness.
+        rest = (up[u] & Z).difference((u,), *(up[c] for c in upper[u] if c in Z))
+        if rest:
+            return (u, min(v for v in rest if not any(v in up[w] for w in rest if w != v)))
     return None
 
 

@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetglue import build, find_isomorphism
+from posetglue import InputError, build, find_isomorphism
 from posetglue.cli import main
-from posetglue.documents import emit_poset, emit_script, parse_poset, parse_script
+from posetglue.documents import emit_map, emit_poset, emit_script, parse_poset, parse_script
 
 from conftest import FIXTURES, diamond_ladder, three_minima_script
 
@@ -132,9 +132,13 @@ class TestVerifyEmbedding:
         src.write_text(emit_poset(build(sorted(assignment), covers)))
         mp = tmp_path / "f.map"
         mp.write_text(emit_map(assignment))
-        code, out = run(capsys, "verify-embedding", str(src), fx("diamond.poset"), str(mp))
-        assert out == expected
+        code = main(["verify-embedding", str(src), fx("diamond.poset"), str(mp)])
+        captured = capsys.readouterr()
+        assert captured.out == expected
         assert code == (1 if ": no (" in expected else 0)
+        # a failed rung is repeated as the one stderr line; a pass prints none
+        last = expected.splitlines()[-1]
+        assert captured.err == (f"verification failed: {last}\n" if code else "")
 
 
 class TestGlue:
@@ -730,20 +734,84 @@ class TestFlagFuzz:
         }[group]
 
 
+def main_on_stdin(argv, text):
+    """Run the CLI with text on stdin: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+    with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def parses(text):
+    try:
+        parse_script(text)
+    except InputError:
+        return False
+    return True
+
+
 class TestReplayFuzz:
+    """A mutated script exits 1 only when it is well formed and fails its
+    check, and 2 only when it does not parse."""
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_mutated_x9_script_keeps_the_exit_contract(self, data):
         text = mutated_x9_script(data)
-        out, err = io.StringIO(), io.StringIO()
-        stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
-        with mock.patch("sys.stdin", stdin), redirect_stdout(out), redirect_stderr(err):
-            code = main(["replay", "-"])
-        err = err.getvalue()
+        code, out, err = main_on_stdin(["replay", "-"], text)
         assert code in (0, 1, 2), err
         assert "Traceback" not in err
         if code:
-            assert out.getvalue() == ""
+            assert out == ""
             assert err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert err == ""
+        if code == 1:
+            assert parses(text) and err.startswith("verification failed: "), err
+        if code == 2:
+            assert not parses(text), err
+
+
+POSET_FIXTURES = sorted(path.name for path in FIXTURES.glob("*.poset"))
+
+
+class TestVerifyEmbeddingFuzz:
+    """verify-embedding on drawn maps between the fixtures: a total map into
+    the target's ids exits 0 or 1, a map that misses a source node or names
+    an unknown id exits 2, and every nonzero exit prints one stderr line."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_maps_keep_the_exit_contract(self, data):
+        source = data.draw(st.sampled_from(POSET_FIXTURES))
+        kind = data.draw(
+            st.sampled_from(["identity", "total", "missing", "unknown value", "unknown key"])
+        )
+        target = source if kind == "identity" else data.draw(st.sampled_from(POSET_FIXTURES))
+        X = parse_poset((FIXTURES / source).read_text())
+        ids = parse_poset((FIXTURES / target).read_text()).nodes
+        if kind == "identity":
+            assignment = {x: x for x in X.nodes}
+        else:
+            assignment = {x: data.draw(st.sampled_from(ids)) for x in X.nodes}
+        x = data.draw(st.sampled_from(X.nodes))
+        if kind == "missing":
+            del assignment[x]
+        elif kind == "unknown value":
+            assignment[x] = "no-such-id"
+        elif kind == "unknown key":
+            assignment["no-such-id"] = assignment[x]
+        code, out, err = main_on_stdin(
+            ["verify-embedding", fx(source), fx(target), "-"], emit_map(assignment)
+        )
+        assert "Traceback" not in err
+        if kind in ("identity", "total"):
+            assert code in (0, 1), err
+        else:
+            assert code == 2 and out == "", err
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert err.startswith("verification failed: " if code == 1 else "input error: ")
         else:
             assert err == ""

@@ -119,6 +119,21 @@ class TestLocalConstructorsValidate:
         back = retract(grown.Z, "10")
         assert validated == [grown, back]
 
+    def test_validate_reads_neither_heights_nor_shared_minima(self, monkeypatch):
+        """The shape of z's down-set is read in one pass over the covers, so
+        an elevation builds no height table and lists no shared minima."""
+        calls = {"_height_table": 0, "_shared_minima": 0}
+        for owner, name in ((Poset, "_height_table"), (gext, "_shared_minima")):
+
+            def counted(*args, _name=name, _real=getattr(owner, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        X = build(["a", "b", "c"], [("a", "c"), ("b", "c")])
+        elevate(X, "a", 2)
+        assert calls == {"_height_table": 0, "_shared_minima": 0}
+
 
 class TestMalformedWitness:
     """A witness stores only (Z, z, X), so a bad section cannot be built. An X
@@ -787,6 +802,12 @@ class TestCorruptedGlue:
 
 
 class TestReplay:
+    def test_unknown_step_kind_is_a_step_mismatch(self):
+        start = build(["p0"], [])
+        script = ConstructionScript(start=start, steps=("grow",), final=start, embedding={"p0": "p0"})
+        with pytest.raises(StepMismatch, match=r"^step 1: unknown step kind$"):
+            replay(script)
+
     def test_decompose_scripts_replay(self, diamond):
         script = decompose_to_point(diamond)
         final, report = replay(script)

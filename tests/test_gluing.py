@@ -236,6 +236,24 @@ class TestVerifyGluing:
         g2 = PosetMap(diamond_split, bigger, {x: x for x in diamond_split.nodes})
         assert not verify_gluing(diamond_split, bigger, g2, [])
 
+    def test_unknown_id_is_reported_not_raised(self):
+        X = build(["a", "b", "c"], [("a", "c"), ("b", "c")])
+        w = glue_along_collection(X, [["a", "b"]])
+        report = verify_gluing(X, w.target, w.map.assignment, [["a", "b"], ["zz"]])
+        assert (report.ok, report.reason) == (False, "collection references unknown nodes")
+        # a member listed earlier that the map is not constant on still wins
+        report = verify_gluing(X, w.target, w.map.assignment, [["a", "c"], ["zz"]])
+        assert report.reason == "map is not constant on member ['a', 'c']"
+
+    def test_map_endpoints_must_be_the_claimed_posets(self, x9):
+        w = glue_along_collection(x9, [{"10", "7"}])
+        for X, Y in ((w.target, w.target), (x9, x9)):
+            report = verify_gluing(X, Y, w.map, w.collection)
+            assert (report.ok, report.reason) == (
+                False,
+                "map endpoints do not match the claimed posets",
+            )
+
     def test_an_elevation_is_certified_without_the_public_checks(self, monkeypatch, x9):
         """The pointwise checks show the members are g's fibers, so the
         quotient is rebuilt with no completeness check, one normalization and

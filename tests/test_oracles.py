@@ -35,7 +35,9 @@ poset with n <= 6 it accepts what they accept, and it rejects, as
 ``verify_gluing`` does, each variant with a cover dropped or added or an
 up-set changed, and each with a cover from an untouched node into a class or
 a class's kept exit dropped, up-sets matching: faults that the minima and
-dimension checks it dropped also caught.
+dimension checks it dropped also caught. It also rejects a class node
+dropped, a class named by a member other than its least, and an extra node,
+which no map from the source reaches.
 
 The order kernel is checked the same way: ``build`` against ``networkx``
 (above) and against a relation with a cycle past a DAG part, heights, depths and chain counts
@@ -52,19 +54,21 @@ the n <= 6 sweep and the fixtures is validated here. A witness derives its
 maps r and e from (Z, z, X); on those retractions, and on every elevation and
 retraction of the posets with n <= 5 and of the fixtures, they equal the maps
 ``elevate`` and the retraction built and stored before, kept here as oracles.
-``validate`` checks three facts that imply the rest; it is checked against
-the eight checks it replaced, kept here as an oracle and fed the derived
-maps, on every elevation and retraction of the posets with n <= 5 and six
-kinds of tampered (Z, z, X), and ``retract``'s unique-cover fault against
-the per-node ``upper_covers`` loop it replaced.
+``validate`` checks two facts that imply the rest, the shape of z's
+down-set and the gluing; it is checked against the eight checks it
+replaced, kept here as an oracle and fed the derived maps, on every
+elevation and retraction of the posets with n <= 5 and nine kinds of
+tampered (Z, z, X), three of which fail the shape alone, and ``retract``'s
+unique-cover fault against the per-node ``upper_covers`` loop it replaced.
 ``_pivot`` reads the height and depth tables and is checked against the
 per-node scan it replaced; ``verify_gluing`` reads its comparison map off two assignments
 and is checked against the stagewise oracle also on targets with fresh ids.
 
-The embedding test, the saturated-subset test and ``PosetMap``'s totality
-check decide by set algebra and scan only to name a fault; each is checked
-against its per-node scan, kept here as an oracle, down to the witness and
-the exception message. ``find_isomorphism`` backtracks with an explicit
+The embedding test and the saturated-subset test make one pass each,
+clearing a node by set algebra and naming the witness at the first node not
+cleared, and ``PosetMap``'s totality check decides by set algebra and scans
+only to name a fault; each is checked against its per-node scan, kept here
+as an oracle, down to the witness and the exception message. ``find_isomorphism`` backtracks with an explicit
 stack and is checked against the recursive search it replaced.
 
 ``all_posets_upto_iso`` generates each class's least-mask natural labelling
@@ -1026,7 +1030,11 @@ def other_orders(P):
 def tampered_witnesses(w):
     """w itself, then w with one fault in (Z, z, X): X with a cover dropped or
     added, X missing a node, X with an extra node, X with a second node inside
-    z's down-set, or z moved to another node of Z."""
+    z's down-set, or z moved to another node of Z. The last three kinds fail
+    the shape of z's down-set alone, with X still the collapse of that
+    down-set: z moved to a minimum of Z, with X = Z; a fresh chain r < q < z
+    under z, with X unchanged; and a fresh node over a minimum below z, with X
+    the collapse of the grown Z."""
     Z, z, X = w.Z, w.z, w.X
     yield "none", w
     for how, X2 in other_orders(X):
@@ -1039,6 +1047,13 @@ def tampered_witnesses(w):
     for v in Z.nodes:
         if v != z:
             yield "z moved", replace(w, z=v)
+    for m in sorted(Z.min_nodes()):
+        yield "z minimal", replace(w, z=m, X=Z)
+    chained = build([*Z.nodes, "t.q", "t.r"], [*Z.covers, ("t.r", "t.q"), ("t.q", z)])
+    yield "chain under z", replace(w, Z=chained)
+    for q in sorted(Z.down_set(z) - {z}):
+        grown = build([*Z.nodes, "t.y"], [*Z.covers, (q, "t.y")])
+        yield "second cover of a minimum", replace(w, Z=grown, X=_glued(grown, (grown.down_set(z),)))
 
 
 def validate_verdict(check, w):
@@ -1049,7 +1064,7 @@ def validate_verdict(check, w):
     return None
 
 
-def test_three_fact_validate_rejects_what_the_eight_checks_reject(small_posets):
+def test_two_fact_validate_rejects_what_the_eight_checks_reject(small_posets):
     # the eight checks read the derived r and e, which raise for an X that is
     # not Z with the down-set collapsed to one node
     witnesses = []
@@ -1068,7 +1083,7 @@ def test_three_fact_validate_rejects_what_the_eight_checks_reject(small_posets):
             counts = tally.setdefault(kind, [0, 0])
             counts[0] += 1
             counts[1] += new is not None
-    # (cases, rejected by the eight checks and by the three facts)
+    # (cases, rejected by the eight checks and by the two facts)
     assert len(witnesses) == 409
     assert {kind: tuple(counts) for kind, counts in tally.items()} == {
         "none": (409, 0),
@@ -1078,6 +1093,9 @@ def test_three_fact_validate_rejects_what_the_eight_checks_reject(small_posets):
         "X node extra": (409, 409),
         "two X nodes in the down-set": (608, 608),
         "z moved": (2034, 2034),
+        "z minimal": (1185, 1185),
+        "chain under z": (409, 409),
+        "second cover of a minimum": (608, 608),
     }
 
 
@@ -1233,6 +1251,33 @@ def test_closed_form_check_agrees_with_verify_gluing(small_posets):
                 assert not verify_gluing(X, bad, name_of, partition)
                 rejected += 1
     assert (glued, rejected) == (1555, 29610)
+
+
+def node_set_faults(Y, partition):
+    """Y with a class node dropped, with a class named by a member other than
+    its least, or with an extra node. No map from the source reaches all of
+    these, so ``verify_gluing`` cannot be asked about them."""
+    for C in partition:
+        c, other = min(C), max(C)
+        yield "class dropped", Y.induced(set(Y.nodes) - {c})
+        name = {x: other if x == c else x for x in Y.nodes}
+        yield "class misnamed", Poset(
+            tuple(sorted(name.values())),
+            frozenset((name[a], name[b]) for a, b in Y.covers),
+            {name[x]: frozenset(name[u] for u in up) for x, up in Y._up.items()},
+        )
+    yield "extra node", build([*Y.nodes, "extra"], Y.covers)
+
+
+def test_closed_form_check_rejects_node_set_faults(small_posets):
+    tally: dict[str, int] = {}
+    for X in small_posets:
+        for partition in minima_partitions(X):
+            for kind, bad in node_set_faults(_glued(X, partition), partition):
+                report = _verify_height_zero_quotient(X, bad, partition)
+                assert report.reason == "nodes are not the untouched nodes plus one class per part"
+                tally[kind] = tally.get(kind, 0) + 1
+    assert tally == {"class dropped": 1961, "class misnamed": 1961, "extra node": 1555}
 
 
 def scan_poset_map_fault(source, target, assignment):
