@@ -18,13 +18,14 @@ up its covers (``_least_ranks``), so a split costs O(digits * (n + covers)).
 
 Each fact is checked in one place. ``chain_decomposition`` checks that X is
 a gluing of D. Both split paths, ``glue_D_along_subcollection`` and
-``split_for_cover``, end in ``_check_split``: t_F is a poset map, f_F . t_F
-= phi, X is a gluing of F, and minima and maxima lift through f_F (by
-``_lifts_extrema``, the predicate ``verify_min_max_lifting`` uses for phi).
-``split_for_cover`` adds only what is particular to a split: u1's copies are
-minimal and the one under u2 has u2 as its unique cover. On the decompose
-path the split is certified by the script's glue step and the final
-isomorphism check instead.
+``split_for_cover``, end in ``_check_split``: t_F is a poset map, X is a
+gluing of F, and minima and maxima lift through f_F (by ``_lifts_extrema``,
+the predicate ``verify_min_max_lifting`` uses for phi). f_F . t_F = phi
+holds by construction: both paths read t_F off f_F's fibers. u1 is minimal
+in X, so the lift of the minima also puts u1's copies among F's minima.
+``split_for_cover`` adds only what is particular to a split: the copy under
+u2 has u2 as its unique cover. On the decompose path the split is certified
+by the script's glue step and the final isomorphism check instead.
 """
 
 from __future__ import annotations
@@ -136,15 +137,15 @@ def glue_D_along_subcollection(
 
 
 def _check_split(cd: ChainDecomposition, result: SplitResult) -> None:
-    """F sits between D and X: t_F is a poset map, f_F . t_F = phi, X is a
-    gluing of F, and minima and maxima lift through f_F. They lift through
-    phi (``verify_min_max_lifting``), so they lift through t_F too."""
+    """F sits between D and X: t_F is a poset map, X is a gluing of F, and
+    minima and maxima lift through f_F. They lift through phi
+    (``verify_min_max_lifting``), so they lift through t_F too. Both callers
+    build t_F so that f_F . t_F = phi: ``glue_D_along_subcollection`` merges
+    only inside the phi-fibers it checked, and ``split_for_cover`` reads t_F
+    off f_F's inverse away from u1 and off u1's copies."""
     pair = poset_map_violation(result.t_F)
     if pair is not None:
         raise InternalInvariantError(f"t_F is not order-preserving at {pair!r}")
-    for d in cd.D.nodes:
-        if result.f_F(result.t_F(d)) != cd.phi(d):
-            raise InternalInvariantError("f_F . t_F differs from phi")
     report = verify_gluing(result.F, cd.X, result.f_F, fiber_collection(result.f_F))
     if not report:
         raise InternalInvariantError(f"X is not a gluing of F: {report.reason}")
@@ -166,16 +167,14 @@ def split_for_cover(X: Poset, u1: NodeId, u2: NodeId) -> SplitResult:
 
     F and f_F come from ``_split_by_rank``, which names F's nodes by chain
     rank without listing any chain. This function checks what is particular
-    to a split (u1's copies are minimal, and the one under u2 has u2 as its
-    unique cover), then adds the chain sum and the map t_F from it, so it
-    lists every maximal chain of X, and ends in ``_check_split``. The
-    decompose hot path calls ``_split_by_rank`` directly and leaves the
-    split to the script's checks.
+    to a split (the copy under u2 has u2 as its unique cover), then adds the
+    chain sum and the map t_F from it, so it lists every maximal chain of X,
+    and ends in ``_check_split``, whose lift of the minima puts u1's copies
+    among F's minima. The decompose hot path calls ``_split_by_rank``
+    directly and leaves the split to the script's checks.
     """
     F, f_F = _split_by_rank(X, u1, u2)
     copies = f_F.fiber(u1)
-    if not copies <= F.min_nodes():
-        raise InternalInvariantError("split fiber escaped the minima")
     for v1 in sorted(copies):
         for v2 in sorted(f_F.fiber(u2)):
             if F.leq(v1, v2) and F.upper_covers(v1) != {v2}:

@@ -23,10 +23,14 @@ an ``ElevationWitness`` is (Z, z, X) and derives its maps r and e, and a
 ``GExtension`` is (h, pivot, f2). One rule, ``_shared_minima``, decides
 unique covers for the split loop, ``retract`` and ``m_count``; the witness
 reads its shape off the covers in the one pass that also settles z's height.
-``decompose_to_point``'s final isomorphism check catches a wrong split or
-retraction. The certificate shows that the original poset sits inside the
-reconstruction as a saturated subset; its check scans each rung of the
-morphism ladder once. ``wrap`` checks nothing.
+``elevate`` validates its witness, and that call is the step loop's check.
+``retract`` returns its witness unvalidated: its own input checks are the
+witness's shape fact, and its X is made by the ``_glued`` call the gluing
+fact would repeat. ``decompose_to_point``'s final isomorphism check, whose
+first clause is that the tracked ids are the padded poset's nodes, catches
+a wrong split or retraction. The certificate shows that the original
+poset sits inside the reconstruction as a saturated subset; its check scans
+each rung of the morphism ladder once. ``wrap`` checks nothing.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ class ElevationWitness:
 
 
 def retract(Z: Poset, z: NodeId) -> ElevationWitness:
-    """Collapse the down-set of z to a point, and validate the witness.
+    """Collapse the down-set of z to a point.
 
     z must have height one and be the only cover of everything below it.
     The collapsed class keeps the least id c in the down-set, as
@@ -125,11 +129,13 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
     (``core._glued`` on the one down-set): it shares Z's up-set objects
     outside the down-set, so making X takes time linear in the size of Z
     instead of a re-closure of the order. The checks here name the faulty
-    node for the caller; the witness derives r and e from (Z, z, X), and
-    ``validate`` checks its shape and r against the canonical gluing.
-    ``gextension_step`` collapses its pivot's down-set with ``core._glued``
-    itself: its split loop has settled the preconditions, and the elevation
-    that undoes it is validated once, when the script's step loop executes it.
+    node for the caller, and the witness derives r and e from (Z, z, X).
+    It is not validated: its shape fact is exactly these two checks, and
+    its gluing fact would rebuild X with the same ``_glued`` call that made
+    it. ``gextension_step`` collapses its pivot's down-set with
+    ``core._glued`` itself: its split loop has settled the preconditions,
+    and the elevation that undoes it is validated once, when the script's
+    step loop executes it.
     """
     Z._check_node(z)
     if Z.height(z) != 1:
@@ -140,9 +146,7 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
         raise NotUniqueCover(
             f"{w!r} below {z!r} has covers {sorted(Z.upper_covers(w))!r}", node=w
         )
-    result = ElevationWitness(Z, z, _glued(Z, (Z.down_set(z),)))
-    result.validate()
-    return result
+    return ElevationWitness(Z, z, _glued(Z, (Z.down_set(z),)))
 
 
 def elevate(
@@ -490,10 +494,9 @@ def decompose_to_point(
         final, _ = _run_steps(start, steps)
     except StepMismatch as exc:
         raise InternalInvariantError(f"decompose's own script failed: {exc}") from exc
-    if set(sigma) != set(K.nodes):
-        raise InternalInvariantError("forward run lost track of the padded poset")
     if (
-        frozenset(sigma.values()) != frozenset(final.nodes)
+        sigma.keys() != K._up.keys()
+        or frozenset(sigma.values()) != frozenset(final.nodes)
         or len(K.covers) != len(final.covers)
         or any((sigma[a], sigma[b]) not in final.covers for a, b in K.covers)
     ):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,8 @@ from posetglue import (
     PosetMap,
     build,
     chain_decomposition,
+    compose,
+    identity_map,
     find_isomorphism,
     glue_D_along_subcollection,
     is_isomorphism,
@@ -20,6 +23,7 @@ from posetglue import (
     verify_gluing,
     verify_min_max_lifting,
 )
+from posetglue import chains
 from posetglue.chains import SplitResult, _check_split
 from posetglue.generate import random_poset
 
@@ -207,3 +211,84 @@ class TestSplitForCover:
             for v2 in result.f_F.fiber(u2):
                 if result.F.leq(v1, v2):
                     assert result.F.upper_covers(v1) == {v2}
+
+
+def lifted_copy(X, u1, u2, F, f_F):
+    """F and f_F with a fresh node "w" put under u1's least copy that is not
+    under u2, and sent to u1: that copy is no longer minimal, X is still a
+    gluing of the result, and the copy under u2 is untouched."""
+    v = min(v for v in f_F.fiber(u1) if f_F(min(F.upper_covers(v))) != u2)
+    F2 = build([*F.nodes, "w"], [*F.covers, ("w", v)])
+    return v, F2, PosetMap(F2, X, {**f_F.assignment, "w": u1})
+
+
+class TestSplitChecks:
+    """Each check of the split paths fires on a result tampered to fail it
+    alone. Two facts are not checked: u1's copies are minimal (the lift of
+    the minima implies it, since u1 is minimal in X) and f_F . t_F = phi
+    (both paths build t_F so that it holds)."""
+
+    def test_a_copy_of_u1_off_the_minima_fails_the_extrema_check(self, small_posets):
+        rejected = 0
+        for X in (P for P in small_posets if len(P) <= 5):
+            for u1 in sorted(X.min_nodes()):
+                if len(X.upper_covers(u1)) < 2:
+                    continue
+                cd = chain_decomposition(X)
+                for u2 in sorted(X.upper_covers(u1)):
+                    result = split_for_cover(X, u1, u2)
+                    v, F2, f2 = lifted_copy(X, u1, u2, result.F, result.f_F)
+                    assert v not in F2.min_nodes()
+                    assert verify_gluing(F2, X, f2, (f2.fiber(u1),))
+                    bad = SplitResult(F2, PosetMap(cd.D, F2, result.t_F.assignment), f2)
+                    with pytest.raises(InternalInvariantError, match="split broke the min/max"):
+                        _check_split(cd, bad)
+                    rejected += 1
+        assert rejected == 119
+
+    def test_split_for_cover_rejects_a_copy_off_the_minima(self, monkeypatch, diamond):
+        real = chains._split_by_rank
+        monkeypatch.setattr(
+            chains, "_split_by_rank", lambda X, u1, u2: lifted_copy(X, u1, u2, *real(X, u1, u2))[1:]
+        )
+        with pytest.raises(InternalInvariantError, match="split broke the min/max"):
+            split_for_cover(diamond, "6", "2")
+
+    def test_a_dropped_cover_fails_the_gluing_check(self):
+        # F keeps the chain a < b and leaves c isolated, so t_F and f_F are
+        # poset maps and f_F is onto, but the quotient misses the cover (b, c).
+        # f_F . t_F is not phi here; with t_F a poset map, the gluing fails
+        # only then or when f_F is not a poset map.
+        X = chain("a", "b", "c")
+        cd = chain_decomposition(X)
+        F = build(["x", "y", "z"], [("x", "y")])
+        t_F = PosetMap(cd.D, F, dict(zip(cd.chains[0], ["x", "y", "y"])))
+        bad = SplitResult(F, t_F, PosetMap(F, X, {"x": "a", "y": "b", "z": "c"}))
+        with pytest.raises(InternalInvariantError, match="X is not a gluing of F: comparison"):
+            _check_split(cd, bad)
+
+    def test_a_split_that_splits_nothing_fails_the_unique_cover_check(
+        self, monkeypatch, diamond
+    ):
+        monkeypatch.setattr(chains, "_split_by_rank", lambda X, u1, u2: (X, identity_map(X)))
+        with pytest.raises(
+            InternalInvariantError, match="'2' is not the unique cover of split copy '6'"
+        ):
+            split_for_cover(diamond, "6", "2")
+
+    def test_f_after_t_is_phi_on_both_split_paths(self, small_posets):
+        splits = glues = 0
+        for X in small_posets:
+            cd = chain_decomposition(X)
+            for u1 in sorted(X.min_nodes()):
+                for u2 in sorted(X.upper_covers(u1)):
+                    result = split_for_cover(X, u1, u2)
+                    assert compose(result.t_F, result.f_F).assignment == cd.phi.assignment
+                    splits += 1
+            fibers = cd.fibers()
+            for k in range(len(fibers) + 1):
+                for chosen in combinations(fibers, k):
+                    result = glue_D_along_subcollection(cd, chosen)
+                    assert compose(result.t_F, result.f_F).assignment == cd.phi.assignment
+                    glues += 1
+        assert (splits, glues) == (1269, 6373)

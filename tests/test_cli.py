@@ -321,6 +321,22 @@ class TestDecomposeReplay:
         assert captured.out == ""
         assert captured.err == f"verification failed: {message}\n"
 
+    def test_repeated_fresh_ids_fail_verification(self, capsys, tmp_path):
+        # the script parses, since each fresh id is a string, so the repeat
+        # is the step loop's to refuse
+        obj = json.loads((GOLDEN / "x9.script").read_text())
+        step = obj["steps"][1]
+        step["fresh_ids"] = ["q2.0"] * step["count"]
+        bad = tmp_path / "bad.script"
+        bad.write_text(json.dumps(obj))
+        code = main(["replay", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "verification failed: step 2: elevate failed: fresh_ids must be n distinct ids\n"
+        )
+
     def test_stdin_stdout_pipe(self):
         decompose = subprocess.run(
             [sys.executable, "-m", "posetglue.cli", "decompose", fx("x9.poset")],

@@ -10,6 +10,8 @@ from posetglue import (
     UnknownNode,
     build,
 )
+from posetglue.chains import _split_by_rank
+from posetglue.core import _elevated, _glued
 from posetglue.generate import random_poset
 
 from conftest import (
@@ -257,3 +259,34 @@ class TestInvariants:
         for a in P.nodes:
             for b in P.nodes:
                 assert P.leq(a, b) == oracle_reachable(P, a, b)
+
+
+def constructed_posets(X):
+    """What each ``Poset`` constructor makes from X: ``build`` on its nodes
+    and covers, ``_elevated`` at each minimum with fresh ids that sort before,
+    between and after X's, ``_glued`` on each principal down-set and on the
+    minima, and ``_split`` (by ``_split_by_rank``) of each minimum under each
+    of its covers."""
+    yield "build", build(reversed(X.nodes), X.covers)
+    mins = sorted(X.min_nodes())
+    for p in mins:
+        yield "_elevated", _elevated(X, p, ["!", f"{p}.", "~"])
+    for x in X.nodes:
+        yield "_glued", _glued(X, (X.down_set(x),))
+    if len(mins) >= 2:
+        yield "_glued", _glued(X, (frozenset(mins),))
+    for u1 in mins:
+        for u2 in sorted(X.upper_covers(u1)):
+            yield "_split", _split_by_rank(X, u1, u2)[0]
+
+
+def test_every_constructor_sorts_nodes_as_its_up_set_keys(small_posets):
+    """``nodes`` is the sorted tuple of the up-set keys for every poset the
+    constructors make, so a check that compares up-set keys has read the
+    nodes too (``gluing._verify_height_zero_quotient`` relies on this)."""
+    made = dict.fromkeys(["build", "_elevated", "_glued", "_split"], 0)
+    for X in small_posets:
+        for constructor, P in constructed_posets(X):
+            assert P.nodes == tuple(sorted(P._up)), constructor
+            made[constructor] += 1
+    assert made == {"build": 405, "_elevated": 915, "_glued": 2624, "_split": 1269}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -22,9 +23,10 @@ from posetglue.documents import (
     parse_poset,
     parse_script,
 )
+from posetglue.cli import main
 from posetglue.generate import random_poset
 
-from conftest import FIXTURES
+from conftest import FIXTURES, complete_bipartite, diamond_ladder, fence
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -266,3 +268,75 @@ class TestRandomPoset:
     def test_distinct_seeds_differ_somewhere(self):
         outputs = {random_poset(s, 8, 0.4).covers for s in range(10)}
         assert len(outputs) > 1
+
+
+def x9_script_with(tamper):
+    """The golden x9 script as JSON text, after tamper(obj)."""
+    obj = json.loads((GOLDEN / "x9.script").read_text())
+    tamper(obj)
+    return json.dumps(obj)
+
+
+def first_glue(obj):
+    return next(step for step in obj["steps"] if step["kind"] == "glue")
+
+
+UNFIRED_DOCUMENT_CHECKS = {
+    "not-an-object": ("info", "[]", "poset: expected an object"),
+    "one-element-cover": (
+        "info",
+        '{"version": 1, "nodes": ["a"], "covers": [["a"]]}',
+        "poset: cover entries must be [lower, upper] string pairs",
+    ),
+    "numeric-label": (
+        "info",
+        '{"version": 1, "nodes": ["a"], "covers": [], "labels": {"a": 1}}',
+        "poset: labels must map node ids to strings",
+    ),
+    "numeric-note": (
+        "info",
+        '{"version": 1, "note": 3, "nodes": ["a"], "covers": []}',
+        "poset: note must be a string",
+    ),
+    "empty-partition-part": (
+        "replay",
+        x9_script_with(lambda obj: first_glue(obj)["partition"].append([])),
+        "script.steps[6]: partition parts must be nonempty string lists",
+    ),
+    "numeric-embedding-value": (
+        "replay",
+        x9_script_with(lambda obj: obj["embedding"].update({"1": 1})),
+        "script.embedding entries must be string -> string",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNFIRED_DOCUMENT_CHECKS))
+def test_malformed_document_exits_2_on_one_line(capsys, tmp_path, case):
+    command, text, message = UNFIRED_DOCUMENT_CHECKS[case]
+    path = tmp_path / "document"
+    path.write_text(text)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
+# The first 16 hex digits of the SHA-256 of each emitted script: inputs past
+# the exhaustive sweeps' sizes, where a change in the emitted bytes would
+# otherwise show only in the benchmark's per-seed digests.
+SCALE_PINS = {
+    "diamond_ladder(40)": (lambda: diamond_ladder(40), "8ace51813eeda134"),
+    "fence(200)": (lambda: fence(200), "7e5f2bf83df2f322"),
+    "complete_bipartite(20)": (lambda: complete_bipartite(20), "48a0bd613258b0e2"),
+    "random_poset(4,240,0.03)": (lambda: random_poset(4, 240, 0.03), "35410d4477776442"),
+    "random_poset(1,400,1.0)": (lambda: random_poset(1, 400, 1.0), "b84528c9f821ddc4"),
+}
+
+
+@pytest.mark.parametrize("family", list(SCALE_PINS))
+def test_scale_family_script_bytes_are_pinned(family):
+    make, digest = SCALE_PINS[family]
+    text = emit_script(decompose_to_point(make()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest

@@ -18,6 +18,7 @@ from posetglue import (
     ConstructionScript,
     ElevateStep,
     ElevationWitness,
+    EmptyPoset,
     GlueStep,
     InputError,
     InternalInvariantError,
@@ -107,6 +108,8 @@ class TestRetract:
 
 class TestLocalConstructorsValidate:
     def test_every_returned_witness_is_validated(self, monkeypatch, x9):
+        """``elevate`` validates its witness; ``retract``'s witness is not
+        validated on return, yet validates when asked."""
         validated = []
         original = ElevationWitness.validate
 
@@ -117,7 +120,23 @@ class TestLocalConstructorsValidate:
         monkeypatch.setattr(ElevationWitness, "validate", recording)
         grown = elevate(x9, "10", 2)
         back = retract(grown.Z, "10")
+        assert validated == [grown]
+        back.validate()
         assert validated == [grown, back]
+
+    def test_retract_makes_no_validate_call(self, monkeypatch, gext_z):
+        """retract's input checks are the witness's shape fact, and its X is
+        the gluing the other fact would rebuild, so it validates nothing."""
+        calls = []
+        original = ElevationWitness.validate
+
+        def counted(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(ElevationWitness, "validate", counted)
+        retract(gext_z, "5")
+        assert calls == []
 
     def test_validate_reads_neither_heights_nor_shared_minima(self, monkeypatch):
         """The shape of z's down-set is read in one pass over the covers, so
@@ -415,6 +434,26 @@ class TestDecomposeToPoint:
         final, _ = replay(script)
         tracked = PosetMap(P, final, script.embedding)
         assert is_saturated_embedding(tracked)
+
+    def test_lost_tracked_ids_fail_the_isomorphism_check(self, monkeypatch, x9):
+        """With every gluing's fibers dropped, the tracked ids no longer name
+        the padded poset's nodes, and the isomorphism check's first clause
+        catches it."""
+        monkeypatch.setattr(gext, "fiber_collection", lambda h: ())
+        with pytest.raises(
+            InternalInvariantError, match="forward run is not isomorphic to the padded poset"
+        ):
+            decompose_to_point(x9)
+
+    def test_lost_tracked_ids_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(gext, "fiber_collection", lambda h: ())
+        code = main(["decompose", str(FIXTURES / "x9.poset")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "internal invariant violated: forward run is not isomorphic to the padded poset\n"
+        )
 
 
 @pytest.fixture(scope="module")
@@ -1077,3 +1116,36 @@ class TestPivotAndEtaByDP:
             assert _eta(P) == len(longest)
             if d > 0:
                 assert _pivot(P) == min(c[1] for c in longest)
+
+
+EMPTY = build([], [])
+
+EMPTY_POSET_CHECKS = {
+    "gextension_step": (lambda: gextension_step(EMPTY), "cannot extend the empty poset"),
+    "reduce_dimension": (lambda: reduce_dimension(EMPTY), "cannot reduce the empty poset"),
+    "wrap": (lambda: wrap(EMPTY, WrapOptions()), "cannot wrap the empty poset"),
+    "decompose_to_point": (lambda: decompose_to_point(EMPTY), "cannot decompose the empty poset"),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("name", sorted(EMPTY_POSET_CHECKS))
+    def test_the_empty_poset_is_refused(self, name):
+        call, message = EMPTY_POSET_CHECKS[name]
+        with pytest.raises(EmptyPoset, match=f"^{message}$"):
+            call()
+
+    def test_decompose_of_the_empty_poset_exits_2_on_one_line(self, capsys, tmp_path):
+        path = tmp_path / "empty.poset"
+        path.write_text('{"version": 1, "nodes": [], "covers": []}')
+        code = main(["decompose", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: cannot decompose the empty poset\n"
+
+    def test_a_taken_fresh_id_is_extended(self):
+        # "q.0" is taken, so the first fresh id grows an "x"; "q.1" is free
+        w = elevate(build(["q.0"], []), "q.0", 2)
+        assert w.Z.nodes == ("q.0", "q.0x", "q.1")
+        assert w.Z.min_nodes() == {"q.0x", "q.1"}

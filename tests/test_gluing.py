@@ -14,8 +14,10 @@ from posetglue import (
     NotCompatible,
     NotComplete,
     NotHeightZero,
+    NotPosetMap,
     OverlappingCollection,
     PosetMap,
+    UnknownNode,
     build,
     check_dim_min_preservation,
     elevate,
@@ -533,3 +535,35 @@ class TestTwoStageGluing:
         )
         merged = [S, frozenset().union(*(w1.map.fiber(y) for y in second))]
         assert verify_gluing(X, w2.target, composite, merged)
+
+
+VEE = build(["a", "b", "t"], [("a", "t"), ("b", "t")])
+VEE_GLUED = glue_along_complete(VEE, ["a", "b"])
+
+GLUING_INPUT_CHECKS = {
+    "h-from-another-source": (
+        lambda: induced_map(VEE_GLUED, identity_map(chain("a", "b"))),
+        UnknownNode,
+        "h must start at the gluing's source",
+    ),
+    "h-not-order-preserving": (
+        lambda: induced_map(
+            VEE_GLUED, PosetMap(VEE, chain("x", "y"), {"a": "y", "b": "y", "t": "x"})
+        ),
+        NotPosetMap,
+        "h is not order-preserving at ('a', 't')",
+    ),
+    "c-sequence-unknown-id": (
+        lambda: find_c_sequence(VEE, [["a", "zz"]], "a", "t"),
+        UnknownNode,
+        "collection references unknown node 'zz'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GLUING_INPUT_CHECKS))
+def test_gluing_input_checks_fire(case):
+    call, error, message = GLUING_INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -207,3 +207,27 @@ class TestSaturationBothWays:
         assert is_saturated_embedding(f)
         assert is_saturated_embedding(g)
         assert is_saturated_embedding(h)
+
+
+MORPHISM_INPUT_CHECKS = {
+    "composition-mismatch": (
+        lambda: compose(identity_map(chain("a", "b")), identity_map(chain("x", "y"))),
+        UnknownNode,
+        "composition mismatch: f.target != g.source",
+    ),
+    "isomorphism-of-a-non-embedding": (
+        lambda: is_isomorphism(
+            PosetMap(build(["a", "b"], []), chain("a", "b"), {"a": "a", "b": "b"})
+        ),
+        NotEmbedding,
+        "not an embedding: order reflection fails at ('a', 'b')",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MORPHISM_INPUT_CHECKS))
+def test_morphism_input_checks_fire(case):
+    call, error, message = MORPHISM_INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -60,6 +60,9 @@ replaced, kept here as an oracle and fed the derived maps, on every
 elevation and retraction of the posets with n <= 5 and nine kinds of
 tampered (Z, z, X), three of which fail the shape alone, and ``retract``'s
 unique-cover fault against the per-node ``upper_covers`` loop it replaced.
+``retract`` does not validate its witness; on every node of the posets with
+n <= 6 and of the fixtures it returns one exactly when the collapse of that
+node's down-set validates.
 ``_pivot`` reads the height and depth tables and is checked against the
 per-node scan it replaced; ``verify_gluing`` reads its comparison map off two assignments
 and is checked against the stagewise oracle also on targets with fresh ids.
@@ -97,6 +100,7 @@ from posetglue import (
     InputError,
     InternalInvariantError,
     NotComplete,
+    NotHeightOne,
     NotPosetMap,
     NotUniqueCover,
     PosetError,
@@ -1126,6 +1130,30 @@ def test_unique_cover_fault_is_the_per_node_scans(small_posets):
     assert (faults, retracted) == (611, 188)
 
 
+def test_retract_succeeds_exactly_when_its_witness_validates(small_posets):
+    """``retract`` does not validate its witness: its height and unique-cover
+    checks are the witness's shape fact, and its X is the ``_glued`` gluing
+    the other fact rebuilds. So on every node of the posets with n <= 6 and
+    of the fixtures, it returns a witness exactly when the collapse of that
+    node's down-set validates, and the witness it returns validates."""
+    fixtures = [load_fixture(path.name) for path in sorted(FIXTURES.glob("*.poset"))]
+    retracted = refused = 0
+    for Z in [*small_posets, *fixtures]:
+        for z in Z.nodes:
+            collapse = ElevationWitness(Z, z, _glued(Z, (Z.down_set(z),)))
+            try:
+                w = retract(Z, z)
+            except (NotHeightOne, NotUniqueCover):
+                with pytest.raises(InternalInvariantError, match="not a height-one node"):
+                    collapse.validate()
+                refused += 1
+                continue
+            assert w == collapse
+            w.validate()
+            retracted += 1
+    assert (retracted, refused) == (196, 2160)
+
+
 def scanned_pivot(F):
     """The pivot as ``_pivot`` found it before it read the height and depth
     tables: checked ``height`` and ``on_maximal_length_chain`` per node."""
@@ -1578,6 +1606,13 @@ def test_enumerator_rejects_a_non_integer_node_count(n):
     # the stream checks its argument when called, not when first read
     with pytest.raises(InputError, match="integer"):
         iter_posets_upto_iso(n)
+
+
+@pytest.mark.parametrize("n", [-1, -7])
+def test_enumerator_rejects_a_negative_node_count(n):
+    for enumerate_posets in (all_posets_upto_iso, iter_posets_upto_iso):
+        with pytest.raises(InputError, match="^n must be nonnegative$"):
+            enumerate_posets(n)
 
 
 def test_the_stream_builds_each_poset_when_it_is_reached(monkeypatch):

@@ -5,7 +5,8 @@ under ``python -O``, and catch a failed replay instead of printing a
 traceback. Each test loads a script as a module and patches its check or
 ``replay`` to fail. A bad argument is exit 2, not the exit 1 of a failed
 certificate. The sweep's script digest over all posets on up to 6 nodes is
-pinned, so any change in the bytes ``decompose`` emits fails here.
+pinned, so any change in the bytes ``decompose`` emits fails here. The
+code-line counter is checked on a module whose count is known.
 """
 
 from __future__ import annotations
@@ -102,3 +103,47 @@ def test_sweep_exits_two_with_one_usage_line_on_a_bad_count(sweep, monkeypatch, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: ") and err.count("\n") == 1
+
+
+KNOWN_MODULE = '''"""A module docstring,
+on two lines."""
+
+import os  # a trailing comment keeps the line
+
+
+class A:
+    """A class docstring."""
+
+    def f(self):
+        """A function docstring."""
+        # a comment line
+        return """a string
+that is not a docstring"""
+
+
+x = [
+    1,
+]
+'''
+
+
+def test_code_lines_counts_code_not_docstrings_comments_or_blanks(monkeypatch, capsys, tmp_path):
+    # the import, class and def lines, the two lines of the returned string
+    # and the three lines of x: 8 code lines
+    (tmp_path / "known.py").write_text(KNOWN_MODULE)
+    (tmp_path / "empty.py").write_text("# only a comment\n")
+    monkeypatch.setattr(sys, "argv", ["code_lines.py", str(tmp_path)])
+    assert load_script("code_lines").main() == 0
+    out = capsys.readouterr().out
+    assert [line.split() for line in out.splitlines()] == [
+        ["empty", "0"],
+        ["known", "8"],
+        ["total", "8"],
+    ]
+
+
+def test_code_lines_exits_two_on_a_missing_directory(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(sys, "argv", ["code_lines.py", str(tmp_path / "missing")])
+    assert load_script("code_lines").main() == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
