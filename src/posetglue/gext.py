@@ -8,29 +8,31 @@ retract the pivot's down-set, and remember the height-zero gluing that undoes
 the splits. ``_descend`` runs steps to dimension zero; ``decompose_to_point``
 keeps a small record per step, never its posets, and reverses the records
 into a construction script from a single point. Steps are recipes (a target
-and fresh ids, or a partition); one step loop, ``_run_steps``, executes
-them, verifying every move, for both ``replay`` and ``decompose_to_point``,
-which certifies its own script with it before returning. The backward pass
-checks only the preconditions its moves need and that ``(dim, eta)``
-decreases; it validates neither its retractions nor its splits. The step loop
-is the one checker of each elevation and gluing, and each move is checked by
-the fewest facts that imply the rest: an elevation validates its witness by
-two facts, its shape and its gluing (``ElevationWitness.validate``), and a
-glue step's quotient (``core._glued``) is checked against its closed form by
-``gluing._verify_height_zero_quotient``, which reads only the input's up-sets
-and covers and rebuilds nothing. Witnesses store only what determines them:
-an ``ElevationWitness`` is (Z, z, X) and derives its maps r and e, and a
-``GExtension`` is (h, pivot, f2). One rule, ``_shared_minima``, decides
-unique covers for the split loop, ``retract`` and ``m_count``; the witness
-reads its shape off the covers in the one pass that also settles z's height.
-``elevate`` validates its witness, and that call is the step loop's check.
-``retract`` returns its witness unvalidated: its own input checks are the
-witness's shape fact, and its X is made by the ``_glued`` call the gluing
-fact would repeat. ``decompose_to_point``'s final isomorphism check, whose
-first clause is that the tracked ids are the padded poset's nodes, catches
-a wrong split or retraction. The certificate shows that the original
-poset sits inside the reconstruction as a saturated subset; its check scans
-each rung of the morphism ladder once. ``wrap`` checks nothing.
+and fresh ids, or a partition); one step loop, ``_run_steps``, executes them
+for both ``replay`` and ``decompose_to_point``. The backward pass checks
+only the preconditions its moves need and that ``(dim, eta)`` decreases; it
+validates neither its retractions nor its splits. The step loop validates
+each elevation by the two facts that imply the rest, its shape and its
+gluing (``ElevationWitness.validate``); a glue step checks that its parts
+are disjoint sets of two or more minima and is made by ``core._glued``,
+unchecked. ``replay`` is the one reader of the certificate: it requires a
+one-point start, compares the nodes and covers the steps reach with the
+script's ``final``, and checks the embedding on that ``final`` (for a
+parsed script, the order ``build`` closed from the document), scanning each
+rung of the morphism ladder once. Witnesses store only what determines
+them: an ``ElevationWitness`` is (Z, z, X) and derives its maps r and e,
+and a ``GExtension`` is (h, pivot, f2). One rule, ``_shared_minima``,
+decides unique covers for the split loop, ``retract`` and ``m_count``; the
+witness reads its shape off the covers in the one pass that also settles
+z's height. ``elevate`` validates its witness, and that call is the step
+loop's check. ``retract`` returns its witness unvalidated: its own input
+checks are the witness's shape fact, and its X is made by the ``_glued``
+call the gluing fact would repeat. ``decompose_to_point`` checks only that
+its steps rebuild the padded poset: the tracked ids must be a bijection
+carrying the padded poset's covers onto the final's, which catches a wrong
+split or retraction. Its embedding is that bijection on the original
+poset, which ``wrap`` makes a saturated subset, so it is left to
+``replay``. ``wrap`` checks nothing.
 """
 
 from __future__ import annotations
@@ -53,12 +55,7 @@ from .errors import (
     StepMismatch,
     ZeroDimensional,
 )
-from .gluing import (
-    GluingWitness,
-    _verify_height_zero_quotient,
-    fiber_collection,
-    verify_gluing,
-)
+from .gluing import GluingWitness, fiber_collection, verify_gluing
 from .morphism import PosetMap, compose, identity_map, inclusion_map
 
 
@@ -260,10 +257,10 @@ def gextension_step(F1: Poset) -> GExtension:
     but the split minimum and keeps its height and depth, so the pivot lifts
     to one node of height one on a longest chain, and a split that broke this
     fails ``_descend``'s (dim, eta) check or ``decompose_to_point``'s
-    isomorphism check. The elevation that undoes
-    the retraction and the accumulated gluing h are verified, renamed, when
-    ``_run_steps`` executes the script's elevate and glue steps, and
-    ``decompose_to_point`` checks that the steps rebuild its padded poset.
+    isomorphism check. The elevation that undoes the retraction is verified,
+    renamed, when ``_run_steps`` executes the script's elevate step, and
+    ``decompose_to_point`` checks that the steps, glue steps included,
+    rebuild its padded poset.
     """
     if not F1.nodes:
         raise EmptyPoset("cannot extend the empty poset")
@@ -453,9 +450,11 @@ def decompose_to_point(
     posets. The reversed records are translated into elevate/glue recipes with
     canonical ids, without building any poset; identity gluings are dropped.
     The recipes are then executed by the step loop ``replay`` uses, which
-    re-verifies every move, and the result must be isomorphic to K under the
-    tracked ids and certify X's embedding. A failure there is a bug in this
-    function, not in X, so it raises InternalInvariantError.
+    re-verifies every elevation, and the result must be isomorphic to K
+    under the tracked ids. A failure there is a bug in this function, not
+    in X, so it raises InternalInvariantError. The embedding is that
+    isomorphism restricted to X, and ``wrap`` makes X a saturated subset of
+    K, so it is not certified here; ``replay`` certifies it.
     """
     if not X.nodes:
         raise EmptyPoset("cannot decompose the empty poset")
@@ -494,29 +493,30 @@ def decompose_to_point(
         final, _ = _run_steps(start, steps)
     except StepMismatch as exc:
         raise InternalInvariantError(f"decompose's own script failed: {exc}") from exc
+    # passes exactly when sigma is a bijection onto final's nodes that
+    # carries K's covers onto final's covers
     if (
         sigma.keys() != K._up.keys()
+        or len(final.nodes) != len(K.nodes)
         or frozenset(sigma.values()) != frozenset(final.nodes)
         or len(K.covers) != len(final.covers)
         or any((sigma[a], sigma[b]) not in final.covers for a, b in K.covers)
     ):
         raise InternalInvariantError("forward run is not isomorphic to the padded poset")
 
-    script = ConstructionScript(
+    return ConstructionScript(
         start=start,
         steps=tuple(steps),
         final=final,
         embedding={x: sigma[x] for x in X.nodes},
         source=X,
     )
-    try:
-        _verify_certificate(script, final)
-    except BrokenEmbedding as exc:
-        raise InternalInvariantError(f"decompose's own certificate failed: {exc}") from exc
-    return script
 
 
-def _verify_certificate(script: ConstructionScript, final: Poset) -> None:
+def _verify_certificate(script: ConstructionScript) -> None:
+    """The tracked embedding is a saturated embedding of the source into
+    ``script.final`` (or, without a source, lands on a saturated subset)."""
+    final = script.final
     image = set(script.embedding.values())
     missing = [y for y in image if y not in final]
     if missing:
@@ -547,11 +547,12 @@ def _verify_certificate(script: ConstructionScript, final: Poset) -> None:
 
 
 def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
-    """Execute the steps from start, verifying every move; the reached poset
-    and one report line per step. An elevation validates its witness. A glue
-    step is made by ``core._glued`` and checked against the closed form of a
-    height-zero quotient, never by rebuilding it. Raises StepMismatch when a
-    step's preconditions or its verification fail."""
+    """Execute the steps from start; the reached poset and one report line
+    per step. An elevation validates its witness. A glue step checks that
+    its parts are disjoint sets of two or more minima and is made by
+    ``core._glued``, unchecked: the reached poset matters only through its
+    nodes and covers, which ``replay`` compares with the recorded final.
+    Raises StepMismatch when a step's preconditions fail."""
     lines = []
     current = start
     for i, step in enumerate(steps, start=1):
@@ -565,9 +566,9 @@ def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
                 f"step {i}: elevate {step.target} by {len(step.fresh_ids)} -> {len(current.nodes)} nodes"
             )
         elif isinstance(step, GlueStep):
-            # _glued and the closed-form check need disjoint parts of two or
-            # more minima; a partition that needs merging or dropping parts
-            # is refused here, not repaired
+            # _glued needs disjoint parts of two or more minima; a partition
+            # that needs merging or dropping parts is refused here, not
+            # repaired
             mins = current.min_nodes()
             seen: set[NodeId] = set()
             for part in step.partition:
@@ -581,11 +582,7 @@ def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
                 seen |= part
                 if not part <= mins:
                     raise StepMismatch(f"step {i}: glue partition is not height zero")
-            glued = _glued(current, step.partition)
-            report = _verify_height_zero_quotient(current, glued, step.partition)
-            if not report:
-                raise StepMismatch(f"step {i}: gluing failed verification: {report.reason}")
-            current = glued
+            current = _glued(current, step.partition)
             lines.append(
                 f"step {i}: glue {len(step.partition)} classes -> {len(current.nodes)} nodes"
             )
@@ -595,18 +592,25 @@ def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
 
 
 def replay(script: ConstructionScript) -> tuple[Poset, ReplayReport]:
-    """Re-execute a script from its start poset, re-verifying every move.
+    """Re-execute a script from its one-point start and certify its final.
 
-    Raises StepMismatch when a step's preconditions fail or the result
-    differs from the recorded final poset, BrokenEmbedding when the tracked
-    embedding does not certify.
+    The steps must reach the nodes and covers of ``script.final``, and the
+    certificate is checked on ``script.final`` itself, which is returned:
+    for a parsed script that is the order ``build`` closed from the
+    document, so the certificate reads no up-set the step loop made. Raises
+    StepMismatch when the start is not one point, a step's preconditions
+    fail or the result differs from the recorded final poset,
+    BrokenEmbedding when the tracked embedding does not certify.
     """
+    if len(script.start.nodes) != 1:
+        raise StepMismatch("start is not a one-point poset")
     current, lines = _run_steps(script.start, script.steps)
-    if current != script.final:
+    final = script.final
+    if current != final:
         raise StepMismatch("final poset differs from the recorded one")
-    _verify_certificate(script, current)
-    lines.append(f"final: {len(current.nodes)} nodes, dim {current.dim()}")
+    _verify_certificate(script)
+    lines.append(f"final: {len(final.nodes)} nodes, dim {final.dim()}")
     lines.append(f"embedding: {len(script.embedding)} nodes, saturated subset verified")
     if script.source is not None:
         lines.append("saturated embedding of the source verified")
-    return current, ReplayReport(tuple(lines))
+    return final, ReplayReport(tuple(lines))

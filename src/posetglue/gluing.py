@@ -22,12 +22,11 @@ comparison map carries its covers onto Y's, which pins the claim up to
 unique iso. It checks the gluing claims other code makes:
 ``chain_decomposition`` (X is a gluing of the chain sum),
 ``chains._check_split`` (X is a gluing of a split F, on both split paths)
-and ``ElevationWitness.validate``. The step loop's glue steps are height-zero
-gluings, whose quotient has a closed form; ``_verify_height_zero_quotient``
-checks ``core._glued``'s result against that form from the source's up-sets
-and covers, so the code that checks a glue step is not the code that made it.
-It compares nodes, up-sets and covers only, since those fix the quotient's
-minima and dimension.
+and ``ElevationWitness.validate``. The step loop's glue steps call
+``core._glued`` unchecked: ``replay`` compares the nodes and covers the
+steps reach with the script's final poset and certifies that poset, so a
+glue step's quotient is read only through its covers, and the tests check
+``_glued`` against ``build`` on every glue step of the sweeps.
 """
 
 from __future__ import annotations
@@ -319,66 +318,6 @@ def verify_gluing(
     if witness is None:
         witness = min(images ^ Y.covers)
     return GluingReport(False, "comparison map is not an isomorphism", witness)
-
-
-def _verify_height_zero_quotient(
-    X: Poset, Y: Poset, partition: Sequence[frozenset[NodeId]]
-) -> GluingReport:
-    """Certify Y as X glued along a partition of some of X's minima, from
-    X's up-sets and covers alone, without building a quotient.
-
-    The caller has checked that the parts are disjoint, that each has two or
-    more ids, and that all lie in X's minima. Such a quotient has a closed
-    form. The class c = min(C) has the up-set {c} | up(m) over m in C, minus
-    the rest of C. Its covers are the least of the nodes that members of C
-    cover. Every other node keeps its up-set and its covers. Y's nodes,
-    up-sets and covers are compared with that form, and nothing else: once
-    its covers are the closed form's, Y's minima are the untouched minima
-    plus the classes (no cover enters a class), and its dimension is X's
-    (each chain of X maps onto a chain of Y, and each chain of Y lifts).
-    Y's nodes are read off its up-set keys: every ``Poset`` constructor
-    sets ``nodes`` to those keys sorted, and ``replay`` compares ``nodes``
-    with the recorded final poset.
-    """
-    X_up, Y_up, Y_covers = X._up, Y._up, Y.covers
-    class_of = {m: min(C) for C in partition for m in C}
-    classes = set(class_of.values())
-    expected = (X_up.keys() - class_of.keys()) | classes
-    if Y_up.keys() != expected:
-        return GluingReport(False, "nodes are not the untouched nodes plus one class per part")
-    for x, up in X_up.items():
-        if x not in class_of and Y_up[x] is not up and Y_up[x] != up:
-            return GluingReport(False, f"up-set of untouched node {x!r} changed")
-    exits: dict[NodeId, set[NodeId]] = {c: set() for c in classes}
-    kept = 0
-    for a, b in X.covers:
-        c = class_of.get(a)
-        if c is not None:
-            exits[c].add(b)
-        elif (a, b) in Y_covers:
-            kept += 1
-        else:
-            return GluingReport(False, "cover of an untouched node was dropped", (a, b))
-    for C in partition:
-        c = min(C)
-        if Y_up[c] != (frozenset().union(*(X_up[m] for m in C)) - C) | {c}:
-            return GluingReport(False, f"up-set of class {c!r} is not the closed form")
-        # the kept covers are the least exits iff each exit is implied by a
-        # kept one exactly when it is not kept itself
-        uppers = [b for b in exits[c] if (c, b) in Y_covers]
-        kept += len(uppers)
-        for b in sorted(exits[c]):
-            implied = any(b in X_up[u] for u in uppers if u != b)
-            if implied and (c, b) in Y_covers:
-                return GluingReport(False, f"class {c!r} keeps an implied cover", (c, b))
-            if not implied and (c, b) not in Y_covers:
-                return GluingReport(False, f"class {c!r} lost a cover", (c, b))
-    if kept != len(Y_covers):
-        image = {(class_of.get(a, a), b) for a, b in X.covers}
-        return GluingReport(
-            False, "a cover is not the image of a source cover", min(Y_covers - image)
-        )
-    return GluingReport(True)
 
 
 def find_c_sequence(

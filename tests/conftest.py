@@ -17,6 +17,7 @@ import pytest
 import posetglue
 from posetglue import ConstructionScript, ElevateStep, GlueStep, Poset, build
 from posetglue.documents import parse_poset
+from posetglue.generate import random_poset
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -94,6 +95,17 @@ def complete_bipartite(k: int) -> Poset:
     bottoms = [f"b{i:02d}" for i in range(k)]
     tops = [f"t{i:02d}" for i in range(k)]
     return build(bottoms + tops, [(b, t) for b in bottoms for t in tops])
+
+
+# One input per scale family, past the exhaustive sweeps' sizes; their
+# script digests are pinned in test_documents.py.
+SCALE_FAMILIES = {
+    "diamond_ladder(40)": lambda: diamond_ladder(40),
+    "fence(200)": lambda: fence(200),
+    "complete_bipartite(20)": lambda: complete_bipartite(20),
+    "random_poset(4,240,0.03)": lambda: random_poset(4, 240, 0.03),
+    "random_poset(1,400,1.0)": lambda: random_poset(1, 400, 1.0),
+}
 
 
 def three_minima_script(*partition):

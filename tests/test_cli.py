@@ -337,6 +337,24 @@ class TestDecomposeReplay:
             "verification failed: step 2: elevate failed: fresh_ids must be n distinct ids\n"
         )
 
+    @pytest.mark.parametrize("start", ["source", "empty"])
+    def test_start_that_is_not_one_point_fails_verification(self, capsys, tmp_path, start):
+        # with no steps, a start equal to the final would certify any poset
+        # as grown from itself; an empty one used to reach an empty final
+        if start == "source":
+            x9 = json.loads((FIXTURES / "x9.poset").read_text())
+            obj = {"source": x9, "final": x9, "embedding": {x: x for x in x9["nodes"]}}
+        else:
+            obj = {"final": {"version": 1, "nodes": [], "covers": []}, "embedding": {}}
+        obj = {"version": 1, **obj, "start": obj["final"], "steps": []}
+        bad = tmp_path / "bad.script"
+        bad.write_text(json.dumps(obj))
+        code = main(["replay", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "verification failed: start is not a one-point poset\n"
+
     def test_stdin_stdout_pipe(self):
         decompose = subprocess.run(
             [sys.executable, "-m", "posetglue.cli", "decompose", fx("x9.poset")],
@@ -579,7 +597,7 @@ def mutated_x9_script(data):
     kind = data.draw(
         st.sampled_from(
             ["drop", "duplicate", "swap", "retarget", "reuse fresh id", "glue id",
-             "embedding value", "add cover", "drop cover"]
+             "embedding value", "add cover", "drop cover", "start"]
         )
     )
     if kind == "drop":
@@ -603,8 +621,12 @@ def mutated_x9_script(data):
         obj["embedding"][key] = data.draw(st.sampled_from(ids))
     elif kind == "add cover":
         final["covers"].append([data.draw(st.sampled_from(ids)), data.draw(st.sampled_from(ids))])
-    else:
+    elif kind == "drop cover":
         del final["covers"][data.draw(st.integers(0, len(final["covers"]) - 1))]
+    else:
+        point = {"version": 1, "nodes": [data.draw(st.sampled_from(ids))], "covers": []}
+        empty = {"version": 1, "nodes": [], "covers": []}
+        obj["start"] = copy.deepcopy(data.draw(st.sampled_from([final, obj["source"], point, empty])))
     return json.dumps(obj)
 
 

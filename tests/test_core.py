@@ -283,7 +283,8 @@ def constructed_posets(X):
 def test_every_constructor_sorts_nodes_as_its_up_set_keys(small_posets):
     """``nodes`` is the sorted tuple of the up-set keys for every poset the
     constructors make, so a check that compares up-set keys has read the
-    nodes too (``gluing._verify_height_zero_quotient`` relies on this)."""
+    nodes too (``ElevationWitness._collapse`` and ``decompose_to_point``'s
+    isomorphism check rely on this)."""
     made = dict.fromkeys(["build", "_elevated", "_glued", "_split"], 0)
     for X in small_posets:
         for constructor, P in constructed_posets(X):

@@ -26,7 +26,7 @@ from posetglue.documents import (
 from posetglue.cli import main
 from posetglue.generate import random_poset
 
-from conftest import FIXTURES, complete_bipartite, diamond_ladder, fence
+from conftest import FIXTURES, SCALE_FAMILIES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -327,16 +327,15 @@ def test_malformed_document_exits_2_on_one_line(capsys, tmp_path, case):
 # the exhaustive sweeps' sizes, where a change in the emitted bytes would
 # otherwise show only in the benchmark's per-seed digests.
 SCALE_PINS = {
-    "diamond_ladder(40)": (lambda: diamond_ladder(40), "8ace51813eeda134"),
-    "fence(200)": (lambda: fence(200), "7e5f2bf83df2f322"),
-    "complete_bipartite(20)": (lambda: complete_bipartite(20), "48a0bd613258b0e2"),
-    "random_poset(4,240,0.03)": (lambda: random_poset(4, 240, 0.03), "35410d4477776442"),
-    "random_poset(1,400,1.0)": (lambda: random_poset(1, 400, 1.0), "b84528c9f821ddc4"),
+    "diamond_ladder(40)": "8ace51813eeda134",
+    "fence(200)": "7e5f2bf83df2f322",
+    "complete_bipartite(20)": "48a0bd613258b0e2",
+    "random_poset(4,240,0.03)": "35410d4477776442",
+    "random_poset(1,400,1.0)": "b84528c9f821ddc4",
 }
 
 
 @pytest.mark.parametrize("family", list(SCALE_PINS))
 def test_scale_family_script_bytes_are_pinned(family):
-    make, digest = SCALE_PINS[family]
-    text = emit_script(decompose_to_point(make()))
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == digest
+    text = emit_script(decompose_to_point(SCALE_FAMILIES[family]()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == SCALE_PINS[family]

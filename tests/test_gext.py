@@ -49,7 +49,7 @@ from posetglue import (
 from posetglue import chains, core, gext, morphism
 from posetglue.cli import main
 from posetglue.core import Poset
-from posetglue.documents import emit_script, parse_script
+from posetglue.documents import emit_poset, emit_script, parse_script
 from posetglue.gluing import fiber_collection, is_height_zero_gluing
 from posetglue.generate import random_poset
 
@@ -544,7 +544,7 @@ class TestLocalQuotients:
 class TestOneForwardPath:
     """decompose_to_point translates its backward run into recipes and runs
     them through replay's step loop: the forward path exists once, and its
-    glue steps are verified there."""
+    elevations are verified there."""
 
     @pytest.mark.parametrize(
         "which,expected",
@@ -555,8 +555,8 @@ class TestOneForwardPath:
         X = {"chain-60": random_poset(1, 60, 1.0), "x9": x9, "ladder-3": diamond_ladder(3)}[which]
         calls = counted_calls(monkeypatch, gext, "verify_gluing")
         script = decompose_to_point(X)
-        # one per elevation, in its validate; glue steps are checked against
-        # the closed form instead
+        # one per elevation, in its validate; glue steps are not checked,
+        # as replay compares the covers they reach with the final
         assert len(calls) == expected
         assert expected == sum(isinstance(step, ElevateStep) for step in script.steps)
 
@@ -581,13 +581,15 @@ class TestOneForwardPath:
     @pytest.mark.parametrize("seed", range(4))
     def test_each_step_is_executed_once(self, monkeypatch, x9, seed):
         X = x9 if seed == 0 else random_poset(seed, 30, 0.15)
-        # gext's own bindings; _glued is not counted, as gextension_step's
-        # down-set collapse calls it too
-        calls = {"_run_steps": 0, "elevate": 0, "_verify_height_zero_quotient": 0}
+        # gext's own bindings; _glued is counted only on glue steps, whose
+        # parts are minima: gextension_step's down-set collapse calls it
+        # too, on a down-set that holds its height-one pivot
+        calls = {"_run_steps": 0, "elevate": 0, "_glued": 0}
         for name in calls:
 
             def counted(*args, _name=name, _real=getattr(gext, name)):
-                calls[_name] += 1
+                if _name != "_glued" or all(C <= args[0].min_nodes() for C in args[1]):
+                    calls[_name] += 1
                 return _real(*args)
 
             monkeypatch.setattr(gext, name, counted)
@@ -597,8 +599,17 @@ class TestOneForwardPath:
         assert calls == {
             "_run_steps": 1,
             "elevate": kinds.count(ElevateStep),
-            "_verify_height_zero_quotient": kinds.count(GlueStep),
+            "_glued": kinds.count(GlueStep),
         }
+
+    def test_decompose_does_not_certify_its_embedding(self, monkeypatch, x9):
+        # the embedding is sigma on X, which wrap makes a saturated subset
+        # of K; replay certifies it
+        calls = counted_calls(monkeypatch, gext, "_verify_certificate")
+        script = decompose_to_point(x9)
+        assert calls == []
+        replay(script)
+        assert calls == [(script,)]
 
     @pytest.fixture
     def corrupt_embedding(self, monkeypatch):
@@ -613,18 +624,61 @@ class TestOneForwardPath:
 
         monkeypatch.setattr(gext, "ConstructionScript", corrupted)
 
-    def test_own_broken_embedding_is_an_internal_error(self, x9, corrupt_embedding):
-        with pytest.raises(InternalInvariantError, match="tracked map") as info:
-            decompose_to_point(x9)
-        assert isinstance(info.value.__cause__, BrokenEmbedding)
+    def test_own_broken_embedding_fails_replay(self, x9, corrupt_embedding):
+        # decompose does not certify its embedding; replay does
+        script = decompose_to_point(x9)
+        with pytest.raises(BrokenEmbedding, match="tracked map"):
+            replay(script)
 
-    def test_own_broken_embedding_exits_3(self, capsys, corrupt_embedding):
-        code = main(["decompose", str(FIXTURES / "x9.poset")])
+    def test_own_broken_embedding_replay_exits_1(self, capsys, tmp_path, corrupt_embedding):
+        assert main(["decompose", str(FIXTURES / "x9.poset")]) == 0
+        path = tmp_path / "x9.script"
+        path.write_text(capsys.readouterr().out)
+        code = main(["replay", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("verification failed: tracked map")
+        assert captured.err.count("\n") == 1
+
+    @pytest.fixture
+    def merging_sigma(self, monkeypatch):
+        """Two 2-chains, 0 < 3 and 1 < 2, whose first backward step reports
+        one extra fiber {0, 1}: two minima with distinct, incomparable
+        upper covers, which its gluing h keeps apart. The last forward step
+        glues them, so sigma sends both to one id, and the final poset has
+        one node fewer than the padded poset but as many covers, each the
+        image of one of the padded poset's."""
+        real = gext.fiber_collection
+        calls = []
+
+        def extra_fiber(g):
+            calls.append(g)
+            fibers = real(g)
+            if len(calls) != 1:
+                return fibers
+            assert {"0", "1"} <= g.source.min_nodes() and g("0") != g("1")
+            return tuple(sorted((*fibers, frozenset({"0", "1"})), key=min))
+
+        monkeypatch.setattr(gext, "fiber_collection", extra_fiber)
+        return build(["0", "1", "2", "3"], [("0", "3"), ("1", "2")])
+
+    def test_merging_sigma_fails_the_isomorphism_check(self, merging_sigma):
+        with pytest.raises(
+            InternalInvariantError, match="^forward run is not isomorphic to the padded poset$"
+        ):
+            decompose_to_point(merging_sigma)
+
+    def test_merging_sigma_exits_3(self, capsys, tmp_path, merging_sigma):
+        path = tmp_path / "two-chains.poset"
+        path.write_text(emit_poset(merging_sigma))
+        code = main(["decompose", str(path)])
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err.startswith("internal invariant violated: ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == (
+            "internal invariant violated: forward run is not isomorphic to the padded poset\n"
+        )
 
     @pytest.fixture
     def corrupt_retraction(self, monkeypatch):
@@ -788,9 +842,15 @@ X9_SCRIPT = Path(__file__).resolve().parent / "golden" / "x9.script"
 
 
 class TestCorruptedGlue:
-    """The step loop checks each glue step against the closed form of its
-    quotient instead of rebuilding it with ``_glued``, so a wrong ``_glued``
-    fails replay as a verification failure (exit 1) naming the glue step."""
+    """Glue steps are made by ``_glued`` unchecked: replay reads the poset
+    the steps reach only through its nodes and covers, which it compares
+    with the parsed final, and certifies the parsed final itself. So a
+    dropped cover fails that comparison (exit 1), and a wrong up-set
+    changes no verdict. An implied cover kept on the class glued at step 6
+    is found first by step 7, which elevates that class: its witness's
+    gluing check re-glues the class's down-set, and an elevation whose
+    check fails is a bug (exit 3). ``_glued`` is checked against ``build``
+    on every glue step of the sweeps in ``test_oracles.py``."""
 
     @pytest.fixture(params=["drop-cover", "add-to-up-set", "implied-cover"])
     def corrupt_glued(self, request, monkeypatch):
@@ -798,7 +858,8 @@ class TestCorruptedGlue:
         every member lies in the source's minima, so retractions, which
         collapse a down-set with its pivot, are untouched. The class loses
         its least cover, gains an id that is no node in its up-set, or keeps
-        a cover implied by one of its covers. The corruptions are counted."""
+        a cover implied by one of its covers. The kind and the list of
+        corrupted results are returned."""
         real = gext._glued
         corrupted = []
 
@@ -820,23 +881,48 @@ class TestCorruptedGlue:
             return Poset(Y.nodes, covers, up)
 
         monkeypatch.setattr(gext, "_glued", corrupting)
-        return corrupted
+        return request.param, corrupted
 
-    def test_replay_names_the_glue_step(self, corrupt_glued):
+    def test_replay_reads_the_parsed_final(self, corrupt_glued):
+        kind, corrupted = corrupt_glued
         script = parse_script(X9_SCRIPT.read_text())
-        with pytest.raises(StepMismatch, match="gluing failed verification") as info:
-            replay(script)
-        assert len(corrupt_glued) == 1
-        step = int(re.match(r"step (\d+): ", str(info.value)).group(1))
-        assert isinstance(script.steps[step - 1], GlueStep)
+        if kind == "add-to-up-set":
+            final, _ = replay(script)
+            assert final is script.final
+        elif kind == "drop-cover":
+            with pytest.raises(StepMismatch, match="^final poset differs from the recorded one$"):
+                replay(script)
+        else:
+            with pytest.raises(InternalInvariantError, match="^r is not a gluing along the down-set"):
+                replay(script)
+        assert corrupted
 
+    @pytest.mark.parametrize("corrupt_glued", ["drop-cover"], indirect=True)
     def test_replay_exits_1(self, capsys, corrupt_glued):
         code = main(["replay", str(X9_SCRIPT)])
         captured = capsys.readouterr()
-        assert corrupt_glued
+        assert corrupt_glued[1]
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("verification failed: step ")
+        assert captured.err == "verification failed: final poset differs from the recorded one\n"
+
+    @pytest.mark.parametrize("corrupt_glued", ["add-to-up-set"], indirect=True)
+    def test_up_set_fault_replays_with_exit_0(self, capsys, corrupt_glued):
+        code = main(["replay", str(X9_SCRIPT)])
+        captured = capsys.readouterr()
+        assert corrupt_glued[1]
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.endswith("saturated embedding of the source verified\n")
+
+    @pytest.mark.parametrize("corrupt_glued", ["implied-cover"], indirect=True)
+    def test_implied_cover_exits_3(self, capsys, corrupt_glued):
+        code = main(["replay", str(X9_SCRIPT)])
+        captured = capsys.readouterr()
+        assert corrupt_glued[1]
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant violated: r is not a gluing along ")
         assert captured.err.count("\n") == 1
 
 
@@ -846,6 +932,13 @@ class TestReplay:
         script = ConstructionScript(start=start, steps=("grow",), final=start, embedding={"p0": "p0"})
         with pytest.raises(StepMismatch, match=r"^step 1: unknown step kind$"):
             replay(script)
+
+    def test_replay_returns_the_scripts_final(self, x9):
+        # the certificate is checked on script.final, never on the poset
+        # the step loop reached
+        for script in (decompose_to_point(x9), parse_script(X9_SCRIPT.read_text())):
+            final, _ = replay(script)
+            assert final is script.final
 
     def test_decompose_scripts_replay(self, diamond):
         script = decompose_to_point(diamond)
@@ -996,14 +1089,14 @@ class TestReplay:
             monkeypatch.setattr(morphism, name, counted)
         # with a source, the saturated embedding implies the saturated image
         for check in (
-            lambda: gext._verify_certificate(script, script.final),
+            lambda: gext._verify_certificate(script),
             lambda: morphism.saturation_violation(tracked),
         ):
             calls.clear()
             check()
             assert calls == dict.fromkeys(scans, 1)
         calls.clear()
-        gext._verify_certificate(replace(script, source=None), script.final)
+        gext._verify_certificate(replace(script, source=None))
         assert calls == {"saturated_subset_violation": 1}
         calls.clear()
         assert morphism.embedding_violation(tracked) is None

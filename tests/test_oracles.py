@@ -28,16 +28,17 @@ reach both of its paths. When every member is a down-set the quotient is
 derived from the source's up-sets (``core._glued``); on retraction down-sets,
 principal down-sets, the minima and partitions of them it is checked against
 ``build`` on the image of the covers, which it replaced there. The step
-loop's glue steps are certified by ``_verify_height_zero_quotient`` against
-the closed form of a height-zero quotient, in place of ``verify_gluing`` and
-``check_dim_min_preservation``; on every partition of the minima of every
-poset with n <= 6 it accepts what they accept, and it rejects, as
-``verify_gluing`` does, each variant with a cover dropped or added or an
-up-set changed, and each with a cover from an untouched node into a class or
-a class's kept exit dropped, up-sets matching: faults that the minima and
-dimension checks it dropped also caught. It also rejects a class node
-dropped, a class named by a member other than its least, and an extra node,
-which no map from the source reaches.
+loop's glue steps call ``core._glued`` unchecked, since ``replay`` reads the
+poset they reach only through its nodes and covers and certifies the
+script's final poset: every glue step it runs on the n <= 6 sweep, the
+fixtures padded with ``min_height=3`` and the five scale families is
+checked here against ``build`` on the image of the covers, nodes, covers and
+up-sets alike. On every partition of the minima of every poset with n <= 6,
+``_glued`` equals that build and ``verify_gluing`` and
+``check_dim_min_preservation`` accept it, and ``verify_gluing`` rejects each
+variant with a cover dropped or added or an up-set changed, and each with a
+cover from an untouched node into a class or a class's kept exit dropped,
+up-sets matching.
 
 The order kernel is checked the same way: ``build`` against ``networkx``
 (above) and against a relation with a cycle past a DAG part, heights, depths and chain counts
@@ -95,6 +96,7 @@ import pytest
 from posetglue import (
     CycleDetected,
     ElevationWitness,
+    GlueStep,
     GluingReport,
     GluingWitness,
     InputError,
@@ -110,6 +112,7 @@ from posetglue import (
     build,
     chain_decomposition,
     compose,
+    decompose_to_point,
     elevate,
     embedding_violation,
     find_isomorphism,
@@ -120,6 +123,7 @@ from posetglue import (
     is_embedding,
     is_saturated_subset,
     poset_map_violation,
+    replay,
     retract,
     saturated_subset_violation,
     split_for_cover,
@@ -130,14 +134,13 @@ from posetglue.chains import _first_in_block, _split_by_rank
 from posetglue.gext import _pivot, _shared_minima
 from posetglue.core import Poset, _glued
 from posetglue.gluing import (
-    _verify_height_zero_quotient,
     check_dim_min_preservation,
     fiber_collection,
     glue_along_collection,
     glue_along_complete,
     normalize_collection,
 )
-from posetglue import generate, gluing
+from posetglue import generate, gext, gluing
 from posetglue.generate import (
     _as_poset,
     _closed_relations,
@@ -148,6 +151,7 @@ from posetglue.generate import (
 
 from conftest import (
     FIXTURES,
+    SCALE_FAMILIES,
     benchmark_inputs,
     complete_bipartite,
     diamond_ladder,
@@ -1270,42 +1274,45 @@ def test_closed_form_check_agrees_with_verify_gluing(small_posets):
             built, name_of = built_quotient(X, partition)
             assert same_order(Y, built)
             g = PosetMap(X, Y, name_of)
-            assert _verify_height_zero_quotient(X, Y, partition)
             assert verify_gluing(X, Y, g, partition)
             check_dim_min_preservation(GluingWitness(X, Y, g, partition))
             glued += 1
             for bad in wrong_quotients(Y, partition):
-                assert not _verify_height_zero_quotient(X, bad, partition)
                 assert not verify_gluing(X, bad, name_of, partition)
                 rejected += 1
     assert (glued, rejected) == (1555, 29610)
 
 
-def node_set_faults(Y, partition):
-    """Y with a class node dropped, with a class named by a member other than
-    its least, or with an extra node. No map from the source reaches all of
-    these, so ``verify_gluing`` cannot be asked about them."""
-    for C in partition:
-        c, other = min(C), max(C)
-        yield "class dropped", Y.induced(set(Y.nodes) - {c})
-        name = {x: other if x == c else x for x in Y.nodes}
-        yield "class misnamed", Poset(
-            tuple(sorted(name.values())),
-            frozenset((name[a], name[b]) for a, b in Y.covers),
-            {name[x]: frozenset(name[u] for u in up) for x, up in Y._up.items()},
-        )
-    yield "extra node", build([*Y.nodes, "extra"], Y.covers)
+def test_every_glue_step_equals_the_built_quotient(small_posets, monkeypatch):
+    # the step loop glues with _glued unchecked; each glue step it runs on
+    # the sweep, the padded fixtures and the scale families must give the
+    # nodes, covers and up-sets of build on the image of the covers
+    inputs = [(P, WrapOptions()) for P in small_posets]
+    inputs += [
+        (load_fixture(path.name), WrapOptions(min_height=3))
+        for path in sorted(FIXTURES.glob("*.poset"))
+    ]
+    inputs += [(make(), WrapOptions()) for make in SCALE_FAMILIES.values()]
+    real = gext._glued
+    steps = []
 
+    def recording(X, partition):
+        Y = real(X, partition)
+        steps.append((X, partition, Y))
+        return Y
 
-def test_closed_form_check_rejects_node_set_faults(small_posets):
-    tally: dict[str, int] = {}
-    for X in small_posets:
-        for partition in minima_partitions(X):
-            for kind, bad in node_set_faults(_glued(X, partition), partition):
-                report = _verify_height_zero_quotient(X, bad, partition)
-                assert report.reason == "nodes are not the untouched nodes plus one class per part"
-                tally[kind] = tally.get(kind, 0) + 1
-    assert tally == {"class dropped": 1961, "class misnamed": 1961, "extra node": 1555}
+    glue_steps = 0
+    for P, options in inputs:
+        script = decompose_to_point(P, options)
+        steps.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(gext, "_glued", recording)
+            replay(script)
+        assert len(steps) == sum(isinstance(step, GlueStep) for step in script.steps)
+        for X, partition, Y in steps:
+            assert same_order(Y, built_quotient(X, partition)[0])
+        glue_steps += len(steps)
+    assert (len(inputs), glue_steps) == (419, 618)
 
 
 def scan_poset_map_fault(source, target, assignment):
