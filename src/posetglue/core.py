@@ -36,10 +36,11 @@ class Poset:
     input. ``_up`` maps each node to its up-set (the node included); it is
     the only stored form of the order, and internal callers read it directly
     once their ids are known to be valid. Up-set values may be shared between posets. Heights,
-    depths, minima and maxima are computed on first use and cached.
+    the upward table (dimension, depths and longest-chain counts), minima
+    and maxima are computed on first use and cached.
     """
 
-    __slots__ = ("nodes", "covers", "_up", "_heights", "_depths", "_min", "_max")
+    __slots__ = ("nodes", "covers", "_up", "_heights", "_upward", "_min", "_max")
 
     nodes: tuple[NodeId, ...]
     covers: frozenset[tuple[NodeId, NodeId]]
@@ -49,7 +50,7 @@ class Poset:
         object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_heights", None)
-        object.__setattr__(self, "_depths", None)
+        object.__setattr__(self, "_upward", None)
         object.__setattr__(self, "_min", None)
         object.__setattr__(self, "_max", None)
 
@@ -159,15 +160,26 @@ class Poset:
             object.__setattr__(self, "_heights", heights)
         return self._heights
 
-    def _depth_table(self) -> dict[NodeId, int]:
-        # longest chain going up from a node, in edges
-        if self._depths is None:
+    def _upward_table(self) -> tuple[int, dict[NodeId, int], dict[NodeId, int]]:
+        """(dim, depths, ways) in one pass from the top. depths[x] is the
+        edge count of a longest chain going up from x, and ways[x] the number
+        of such chains: 1 on a maximum, else the sum of ways[b] over the
+        upper covers b with depths[b] = depths[x] - 1. dim is the largest
+        depth, which only minima reach."""
+        if self._upward is None:
             above = self._cover_lists(upper=True)
             depths: dict[NodeId, int] = {}
+            ways: dict[NodeId, int] = {}
             for x in self._by_up_size(lowest_first=False):
-                depths[x] = 1 + max(depths[b] for b in above[x]) if above[x] else 0
-            object.__setattr__(self, "_depths", depths)
-        return self._depths
+                ups = above[x]
+                if not ups:
+                    depths[x], ways[x] = 0, 1
+                    continue
+                d = max(depths[b] for b in ups)
+                depths[x] = d + 1
+                ways[x] = sum(ways[b] for b in ups if depths[b] == d)
+            object.__setattr__(self, "_upward", (max(depths.values(), default=0), depths, ways))
+        return self._upward
 
     def height(self, x: NodeId) -> int:
         """Edge count of a longest chain from a minimal node up to x."""
@@ -178,11 +190,11 @@ class Poset:
     def dim(self) -> int:
         """Edge count of a longest chain in the poset."""
         self._check_nonempty()
-        return max(self._height_table().values())
+        return self._upward_table()[0]
 
     def on_maximal_length_chain(self, x: NodeId) -> bool:
         self._check_node(x)
-        return self.height(x) + self._depth_table()[x] == self.dim()
+        return self.height(x) + self._upward_table()[1][x] == self.dim()
 
     def maximal_chains(self) -> list[Chain]:
         """All chains from a minimal to a maximal node, following covers.

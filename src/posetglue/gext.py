@@ -5,13 +5,19 @@ lower neighbors have z as their only cover) to a point; an elevation is the
 inverse move, growing fresh minima under a minimal node. One G-extension
 step = split shared minima under a pivot until each copy has a unique cover,
 retract the pivot's down-set, and remember the height-zero gluing that undoes
-the splits. ``_descend`` runs steps to dimension zero; ``decompose_to_point``
-keeps a small record per step, never its posets, and reverses the records
-into a construction script from a single point. Steps are recipes (a target
-and fresh ids, or a partition); one step loop, ``_run_steps``, executes them
-for both ``replay`` and ``decompose_to_point``. The backward pass checks
-only the preconditions its moves need and that ``(dim, eta)`` decreases; it
-validates neither its retractions nor its splits. The step loop validates
+the splits. ``_descend`` runs steps to dimension zero. Each poset it visits
+builds one upward table, the depths and the counts ``ways`` of longest
+chains going up from each node, and ``dim``, ``eta`` and the pivot are read
+off it; no height table is built. A step that splits nothing builds no map:
+its ``GExtension`` stores no h and derives the identity on first use, and
+the pivot's down-set is computed once, for the collapse and the record.
+``decompose_to_point`` keeps a small record per step, never its posets, and
+reverses the records into a construction script from a single point. Steps
+are recipes (a target and fresh ids, or a partition); one step loop,
+``_run_steps``, executes them for both ``replay`` and
+``decompose_to_point``. The backward pass checks only the preconditions its
+moves need and that ``(dim, eta)`` decreases; it validates neither its
+retractions nor its splits. The step loop validates
 each elevation by the two facts that imply the rest, its shape and its
 gluing (``ElevationWitness.validate``); a glue step checks that its parts
 are disjoint sets of two or more minima and is made by ``core._glued``,
@@ -21,10 +27,10 @@ script's ``final``, and checks the embedding on that ``final`` (for a
 parsed script, the order ``build`` closed from the document), scanning each
 rung of the morphism ladder once. Witnesses store only what determines
 them: an ``ElevationWitness`` is (Z, z, X) and derives its maps r and e,
-and a ``GExtension`` is (h, pivot, f2). One rule, ``_shared_minima``,
-decides unique covers for the split loop, ``retract`` and ``m_count``; the
-witness reads its shape off the covers in the one pass that also settles
-z's height. ``elevate`` validates its witness, and that call is the step
+and a ``GExtension`` is (Z, pivot, down, f2), plus h when the step split.
+One rule, ``_shared_minima``, decides unique covers for the split loop,
+``retract`` and ``m_count``; the witness reads its shape off the covers in
+the one pass that also settles z's height. ``elevate`` validates its witness, and that call is the step
 loop's check. ``retract`` returns its witness unvalidated: its own input
 checks are the witness's shape fact, and its X is made by the ``_glued``
 call the gluing fact would repeat. ``decompose_to_point`` checks only that
@@ -207,19 +213,26 @@ def _shared_minima(F: Poset, x: NodeId) -> list[NodeId]:
 @dataclass(frozen=True)
 class GExtension:
     """One growth-and-glue move: f1 = height-zero gluing h of an elevation Z
-    of f2. Only h, the pivot and f2 are stored; the rest is derived."""
+    of f2, where f2 is Z with the pivot's down-set collapsed. The down-set
+    is stored, so the collapse and ``decompose_to_point``'s record share one
+    computation of it. h is stored only when the step split a minimum; a
+    step that split nothing has Z = f1, and h, the identity of Z, is derived
+    on first use. The rest is derived."""
 
-    h: PosetMap  # Z -> f1 height-zero gluing map
+    Z: Poset
     pivot: NodeId  # the retracted node, in Z
+    down: frozenset[NodeId]  # the pivot's down-set in Z
     f2: Poset
+    split_gluing: Optional[PosetMap] = None  # h, when the step split a minimum
 
     @property
     def f1(self) -> Poset:
-        return self.h.target
+        return self.Z if self.split_gluing is None else self.split_gluing.target
 
-    @property
-    def Z(self) -> Poset:
-        return self.h.source
+    @cached_property
+    def h(self) -> PosetMap:
+        """Z -> f1, the height-zero gluing that undoes the splits."""
+        return identity_map(self.Z) if self.split_gluing is None else self.split_gluing
 
     @property
     def retraction(self) -> ElevationWitness:
@@ -236,9 +249,12 @@ class GExtension:
 
 def _pivot(F: Poset) -> NodeId:
     """The least height-one node on a maximal-length chain (F has dim >= 1),
-    read off the height and depth tables in one pass."""
-    depths, top = F._depth_table(), F.dim() - 1
-    return min(x for x, h in F._height_table().items() if h == 1 and depths[x] == top)
+    read off the upward table: the least non-minimal node of depth dim - 1.
+    Such a node has a lower cover, which has depth dim and so is a minimum;
+    its height is therefore one, and a chain of length dim runs through it."""
+    dim, depths, _ = F._upward_table()
+    mins = F.min_nodes()
+    return min(x for x, d in depths.items() if d == dim - 1 and x not in mins)
 
 
 def gextension_step(F1: Poset) -> GExtension:
@@ -248,9 +264,11 @@ def gextension_step(F1: Poset) -> GExtension:
     minimal node under the pivot has another cover, split the least such node;
     the shared-minima count strictly drops each round. The shared minima are
     listed once per round: the pivot has height one, so the minimal nodes
-    under it are the ones it covers. Then collapse the pivot's down-set with
-    ``core._glued``. Only preconditions and termination are checked here: the
-    splits' preconditions and the drop of the shared-minima count. The
+    under it are the ones it covers. The splits' maps are composed into h
+    only when there is one; a step that splits nothing builds no map. Then
+    collapse the pivot's down-set, computed once, with ``core._glued``. Only
+    preconditions and termination are checked here: the splits'
+    preconditions and the drop of the shared-minima count. The
     collapse checks nothing: the loop exits when the pivot is the only cover
     of every minimum below it, and ``_pivot`` chose it at height one.
     ``_split_by_rank`` does not check its result: a split renames every node
@@ -267,14 +285,13 @@ def gextension_step(F1: Poset) -> GExtension:
     if F1.dim() == 0:
         raise ZeroDimensional("poset has dimension zero")
 
-    F = F1
+    F, h = F1, None
     y = _pivot(F1)
-    h = identity_map(F1)
     shared = _shared_minima(F, y)
     while shared:
         F, f_F = _split_by_rank(F, shared[0], y)
         y = min(f_F.fiber(y))
-        h = compose(f_F, h)
+        h = f_F if h is None else compose(f_F, h)
         m = len(shared)
         shared = _shared_minima(F, y)
         if len(shared) >= m:
@@ -282,29 +299,26 @@ def gextension_step(F1: Poset) -> GExtension:
                 f"shared-minima count failed to drop: {m} -> {len(shared)}"
             )
 
-    return GExtension(h=h, pivot=y, f2=_glued(F, (F.down_set(y),)))
+    down = F.down_set(y)
+    return GExtension(Z=F, pivot=y, down=down, f2=_glued(F, (down,)), split_gluing=h)
 
 
 def _eta(F: Poset) -> int:
-    """Number of maximal-length chains, without listing the maximal chains.
-
-    ways[x] counts the chains of length height(x) ending at x; a cover
-    (a, b) extends them iff it climbs exactly one level. Covers are taken
-    in ascending height of a, so ways[a] is final before it is used.
+    """Number of maximal-length chains, without listing the maximal chains,
+    read off the upward table: a longest chain starts at a node of depth
+    dim, and ways counts the chains of that length going up from it.
     """
-    heights = F._height_table()
-    ways = {x: 1 if h == 0 else 0 for x, h in heights.items()}
-    for a, b in sorted(F.covers, key=lambda cover: heights[cover[0]]):
-        if heights[b] == heights[a] + 1:
-            ways[b] += ways[a]
-    d = F.dim()
-    return sum(ways[x] for x, h in heights.items() if h == d)
+    dim, depths, ways = F._upward_table()
+    return sum(ways[x] for x, d in depths.items() if d == dim)
 
 
 def _descend(F: Poset) -> Iterator[GExtension]:
-    """G-extension steps from F to dimension zero, each lowering (dim, eta)."""
+    """G-extension steps from F to dimension zero, each lowering (dim, eta).
+    Every poset it visits builds its upward table once, from which dim, eta
+    and the step's pivot are read; no state passes from one step to the
+    next but the poset itself."""
     key = F.dim(), _eta(F)
-    while F.dim() > 0:
+    while key[0] > 0:
         step = gextension_step(F)
         F = step.f2
         key, before = (F.dim(), _eta(F)), key
@@ -463,10 +477,10 @@ def decompose_to_point(
     records = []
     current = K
     for gx in _descend(K):
-        down = gx.Z.down_set(gx.pivot)
-        fibers = fiber_collection(gx.h)
-        h = gx.h.assignment if fibers else None
-        records.append((gx.pivot, min(down), sorted(down - {gx.pivot}), fibers, h))
+        fibers, h = (), gx.split_gluing
+        if h is not None:
+            fibers, h = fiber_collection(h), h.assignment
+        records.append((gx.pivot, min(gx.down), sorted(gx.down - {gx.pivot}), fibers, h))
         current = gx.f2
     if len(current.nodes) != 1:
         raise InternalInvariantError("terminal poset is not a point despite the fresh maximum")
@@ -552,7 +566,9 @@ def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
     its parts are disjoint sets of two or more minima and is made by
     ``core._glued``, unchecked: the reached poset matters only through its
     nodes and covers, which ``replay`` compares with the recorded final.
-    Raises StepMismatch when a step's preconditions fail."""
+    Raises StepMismatch when a step's preconditions fail, and an
+    InternalInvariantError naming the step when an elevation's witness
+    fails to validate."""
     lines = []
     current = start
     for i, step in enumerate(steps, start=1):
@@ -561,6 +577,8 @@ def _run_steps(start: Poset, steps: Sequence[Step]) -> tuple[Poset, list[str]]:
                 witness = elevate(current, step.target, len(step.fresh_ids), step.fresh_ids)
             except InputError as exc:
                 raise StepMismatch(f"step {i}: elevate failed: {exc}") from exc
+            except InternalInvariantError as exc:
+                raise InternalInvariantError(f"step {i}: {exc}") from exc
             current = witness.Z
             lines.append(
                 f"step {i}: elevate {step.target} by {len(step.fresh_ids)} -> {len(current.nodes)} nodes"

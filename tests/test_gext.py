@@ -34,6 +34,7 @@ from posetglue import (
     elevate,
     find_isomorphism,
     gextension_step,
+    identity_map,
     is_embedding,
     is_isomorphism,
     is_poset_map,
@@ -53,7 +54,7 @@ from posetglue.documents import emit_poset, emit_script, parse_script
 from posetglue.gluing import fiber_collection, is_height_zero_gluing
 from posetglue.generate import random_poset
 
-from conftest import FIXTURES, benchmark_inputs, diamond_ladder, three_minima_script
+from conftest import FIXTURES, benchmark_inputs, diamond_ladder, load_fixture, three_minima_script
 
 
 def chain(*ids):
@@ -645,10 +646,22 @@ class TestOneForwardPath:
     def merging_sigma(self, monkeypatch):
         """Two 2-chains, 0 < 3 and 1 < 2, whose first backward step reports
         one extra fiber {0, 1}: two minima with distinct, incomparable
-        upper covers, which its gluing h keeps apart. The last forward step
-        glues them, so sigma sends both to one id, and the final poset has
-        one node fewer than the padded poset but as many covers, each the
-        image of one of the padded poset's."""
+        upper covers, which its gluing h keeps apart. No step of this
+        descent splits, and only a step that split has its fibers read, so
+        the first step also claims a split, with the identity as h. The last
+        forward step glues them, so sigma sends both to one id, and the
+        final poset has one node fewer than the padded poset but as many
+        covers, each the image of one of the padded poset's."""
+        real_step = gext.gextension_step
+        steps = []
+
+        def reporting_a_split(F):
+            gx = real_step(F)
+            steps.append(gx)
+            assert gx.split_gluing is None
+            return replace(gx, split_gluing=identity_map(gx.Z)) if len(steps) == 1 else gx
+
+        monkeypatch.setattr(gext, "gextension_step", reporting_a_split)
         real = gext.fiber_collection
         calls = []
 
@@ -661,7 +674,8 @@ class TestOneForwardPath:
             return tuple(sorted((*fibers, frozenset({"0", "1"})), key=min))
 
         monkeypatch.setattr(gext, "fiber_collection", extra_fiber)
-        return build(["0", "1", "2", "3"], [("0", "3"), ("1", "2")])
+        yield build(["0", "1", "2", "3"], [("0", "3"), ("1", "2")])
+        assert len(steps) == 3 and len(calls) == 1
 
     def test_merging_sigma_fails_the_isomorphism_check(self, merging_sigma):
         with pytest.raises(
@@ -759,6 +773,83 @@ class TestDescentInvariant:
         assert captured.err.count("\n") == 1
 
 
+class TestDescentWork:
+    """Every poset the descent visits builds its upward table once, and dim,
+    eta and the pivot are read off it. A step that splits nothing builds no
+    map: h is derived only when asked for."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """The posets whose upward table was built, in order, the steps of
+        the descent, and the calls of the three map builders through gext's
+        own bindings: the step loop's elevations read fibers too, inside
+        ``verify_gluing``, but that is the forward path, not the descent."""
+        built, steps = [], []
+        real_table, real_step = Poset._upward_table, gext.gextension_step
+
+        def recording_table(P):
+            if P._upward is None:
+                built.append(P)
+            return real_table(P)
+
+        def recording_step(F):
+            steps.append(real_step(F))
+            return steps[-1]
+
+        monkeypatch.setattr(Poset, "_upward_table", recording_table)
+        monkeypatch.setattr(gext, "gextension_step", recording_step)
+        maps = {}
+        for name in ("identity_map", "compose", "fiber_collection"):
+            calls = maps[name] = []
+
+            def counted(*args, _calls=calls, _real=getattr(gext, name)):
+                _calls.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(gext, name, counted)
+        return built, steps, maps
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: random_poset(1, 60, 1.0), lambda: load_fixture("x9.poset"), lambda: diamond_ladder(3)],
+        ids=["chain-60", "x9", "ladder-3"],
+    )
+    def test_one_upward_table_per_visited_poset(self, work, make):
+        built, steps, _ = work
+        decompose_to_point(make())
+        visited = [steps[0].f1, *(gx.f2 for gx in steps)]
+        assert [id(P) for P in built] == [id(P) for P in visited]
+
+    def test_chain_builds_no_maps(self, work):
+        _, steps, maps = work
+        decompose_to_point(random_poset(1, 60, 1.0))
+        assert len(steps) == 60
+        assert all(gx.split_gluing is None for gx in steps)
+        assert {name: len(calls) for name, calls in maps.items()} == {
+            "identity_map": 0,
+            "compose": 0,
+            "fiber_collection": 0,
+        }
+
+    def test_maps_only_on_steps_that_split(self, work):
+        _, steps, maps = work
+        decompose_to_point(load_fixture("x9.poset"))
+        splitting = [gx for gx in steps if gx.split_gluing is not None]
+        assert 0 < len(splitting) < len(steps)
+        assert [args[0] for args in maps["fiber_collection"]] == [
+            gx.split_gluing for gx in splitting
+        ]
+        assert maps["identity_map"] == []
+
+    def test_h_is_derived_when_nothing_was_split(self, vee):
+        gx = gextension_step(vee)
+        assert gx.split_gluing is None
+        assert gx.f1 is gx.Z is vee
+        assert gx.h.assignment == {x: x for x in vee.nodes}
+        assert gx.h is gx.h
+        assert gx.down == vee.down_set(gx.pivot)
+
+
 class TestDecomposeMemory:
     """``decompose_to_point`` keeps a small record per step, not the step's
     posets, so its traced peak stays within a small multiple of the peak of
@@ -849,7 +940,7 @@ class TestCorruptedGlue:
     changes no verdict. An implied cover kept on the class glued at step 6
     is found first by step 7, which elevates that class: its witness's
     gluing check re-glues the class's down-set, and an elevation whose
-    check fails is a bug (exit 3). ``_glued`` is checked against ``build``
+    check fails is a bug (exit 3), named by its step. ``_glued`` is checked against ``build``
     on every glue step of the sweeps in ``test_oracles.py``."""
 
     @pytest.fixture(params=["drop-cover", "add-to-up-set", "implied-cover"])
@@ -893,7 +984,9 @@ class TestCorruptedGlue:
             with pytest.raises(StepMismatch, match="^final poset differs from the recorded one$"):
                 replay(script)
         else:
-            with pytest.raises(InternalInvariantError, match="^r is not a gluing along the down-set"):
+            with pytest.raises(
+                InternalInvariantError, match="^step 7: r is not a gluing along the down-set"
+            ):
                 replay(script)
         assert corrupted
 
@@ -922,7 +1015,9 @@ class TestCorruptedGlue:
         assert corrupt_glued[1]
         assert code == 3
         assert captured.out == ""
-        assert captured.err.startswith("internal invariant violated: r is not a gluing along ")
+        assert captured.err.startswith(
+            "internal invariant violated: step 7: r is not a gluing along "
+        )
         assert captured.err.count("\n") == 1
 
 

@@ -41,10 +41,11 @@ cover from an untouched node into a class or a class's kept exit dropped,
 up-sets matching.
 
 The order kernel is checked the same way: ``build`` against ``networkx``
-(above) and against a relation with a cycle past a DAG part, heights, depths and chain counts
-against the maximal-chain listing, down-sets and completeness against their
-definitions, and the up-set verifiers of ``morphism`` against the double
-loops of checked ``leq`` calls they replaced.
+(above) and against a relation with a cycle past a DAG part, heights,
+depths, longest-chain counts and chain counts against the maximal-chain
+listing, down-sets and completeness against their definitions, and the
+up-set verifiers of ``morphism`` against the double loops of checked
+``leq`` calls they replaced.
 
 ``elevate`` and ``retract`` derive their result from their input's up-sets
 (``core._elevated``, and ``core._glued`` on the one down-set); they are
@@ -64,9 +65,12 @@ unique-cover fault against the per-node ``upper_covers`` loop it replaced.
 ``retract`` does not validate its witness; on every node of the posets with
 n <= 6 and of the fixtures it returns one exactly when the collapse of that
 node's down-set validates.
-``_pivot`` reads the height and depth tables and is checked against the
-per-node scan it replaced; ``verify_gluing`` reads its comparison map off two assignments
-and is checked against the stagewise oracle also on targets with fresh ids.
+``_pivot`` and ``_eta`` read the upward table (depths and longest-chain
+counts) and are checked against the per-node scan and against the
+height-table versions they replaced, kept here as oracles, on every poset
+the descent visits from the inputs of the glue-step check;
+``verify_gluing`` reads its comparison map off two assignments and is
+checked against the stagewise oracle also on targets with fresh ids.
 
 The embedding test and the saturated-subset test make one pass each,
 clearing a node by set algebra and naming the witness at the first node not
@@ -131,7 +135,7 @@ from posetglue import (
     wrap,
 )
 from posetglue.chains import _first_in_block, _split_by_rank
-from posetglue.gext import _pivot, _shared_minima
+from posetglue.gext import _eta, _pivot, _shared_minima
 from posetglue.core import Poset, _glued
 from posetglue.gluing import (
     check_dim_min_preservation,
@@ -527,8 +531,19 @@ def test_heights_depths_and_chain_count_match_the_chain_listing(small_posets):
             for i, x in enumerate(c):
                 heights[x] = max(heights[x], i)
                 depths[x] = max(depths[x], len(c) - 1 - i)
+        # ways[x]: the distinct tails, from x up, of maximal chains whose
+        # tail from x is as long as x's depth
+        tails = {x: set() for x in P.nodes}
+        for c in chains:
+            for i, x in enumerate(c):
+                if len(c) - 1 - i == depths[x]:
+                    tails[x].add(c[i:])
         assert P._height_table() == heights
-        assert P._depth_table() == depths
+        assert P._upward_table() == (
+            max(depths.values()),
+            depths,
+            {x: len(t) for x, t in tails.items()},
+        )
         assert P.maximal_chain_count() == len(chains)
 
 
@@ -1172,6 +1187,70 @@ def test_pivot_from_the_tables_equals_the_per_node_scan(small_posets):
         assert _pivot(P) == scanned_pivot(P)
 
 
+def height_table_eta(F):
+    """``_eta`` as it was before the upward table: ways[x] counts the chains
+    of length height(x) ending at x, over the covers sorted by the height
+    of their lower end."""
+    heights = F._height_table()
+    ways = {x: 1 if h == 0 else 0 for x, h in heights.items()}
+    for a, b in sorted(F.covers, key=lambda cover: heights[cover[0]]):
+        if heights[b] == heights[a] + 1:
+            ways[b] += ways[a]
+    d = max(heights.values())
+    return sum(ways[x] for x, h in heights.items() if h == d)
+
+
+def height_table_pivot(F):
+    """``_pivot`` as it was before the upward table: the least node of
+    height one whose depth, found here from the top down in height order,
+    is dim - 1."""
+    heights = F._height_table()
+    above = F._cover_lists(upper=True)
+    depths = {}
+    for x in sorted(F.nodes, key=heights.__getitem__, reverse=True):
+        depths[x] = 1 + max(depths[b] for b in above[x]) if above[x] else 0
+    top = max(heights.values()) - 1
+    return min(x for x, h in heights.items() if h == 1 and depths[x] == top)
+
+
+def descent_inputs(small_posets):
+    """What the descent oracles run on: the n <= 6 sweep, the fixtures padded
+    with ``min_height=3`` and the five scale families."""
+    inputs = [(P, WrapOptions()) for P in small_posets]
+    inputs += [
+        (load_fixture(path.name), WrapOptions(min_height=3))
+        for path in sorted(FIXTURES.glob("*.poset"))
+    ]
+    inputs += [(make(), WrapOptions()) for make in SCALE_FAMILIES.values()]
+    return inputs
+
+
+def test_descent_reads_dim_eta_and_pivot_off_the_upward_table(small_posets, monkeypatch):
+    # _eta runs once on every poset the descent visits, the padded input
+    # first; each must give the height-table dim, eta and pivot
+    visited = []
+    real = gext._eta
+
+    def recording(F):
+        visited.append(F)
+        return real(F)
+
+    monkeypatch.setattr(gext, "_eta", recording)
+    seen = checked = 0
+    for P, options in descent_inputs(small_posets):
+        decompose_to_point(P, options)
+        for F in visited:
+            heights = F._height_table()
+            assert F.dim() == max(heights.values())
+            assert _eta(F) == height_table_eta(F)
+            if F.dim() > 0:
+                assert _pivot(F) == height_table_pivot(F)
+                checked += 1
+        seen += len(visited)
+        visited.clear()
+    assert (seen, checked) == (3158, 2739)
+
+
 def built_quotient(X, collection):
     """The quotient as the one-pass gluing built it for every collection:
     each node named by its member's least id, then ``build`` on the image of
@@ -1287,12 +1366,7 @@ def test_every_glue_step_equals_the_built_quotient(small_posets, monkeypatch):
     # the step loop glues with _glued unchecked; each glue step it runs on
     # the sweep, the padded fixtures and the scale families must give the
     # nodes, covers and up-sets of build on the image of the covers
-    inputs = [(P, WrapOptions()) for P in small_posets]
-    inputs += [
-        (load_fixture(path.name), WrapOptions(min_height=3))
-        for path in sorted(FIXTURES.glob("*.poset"))
-    ]
-    inputs += [(make(), WrapOptions()) for make in SCALE_FAMILIES.values()]
+    inputs = descent_inputs(small_posets)
     real = gext._glued
     steps = []
 
