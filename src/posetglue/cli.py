@@ -46,7 +46,14 @@ def _read(path: str) -> str:
 
 
 def _write(text: str) -> None:
-    sys.stdout.write(text)
+    """Write to stdout. Text that stdout cannot encode, such as a node id
+    holding a lone surrogate from a JSON escape, is an input error; the
+    encoder raises before any of the text is written."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start : exc.end]
+        raise InputError(f"cannot write {bad!r} as {exc.encoding}: {exc.reason}") from exc
 
 
 def _load_poset(path: str):

@@ -8,7 +8,9 @@ is stored or repeated. Values are created only here, by ``build`` or by the
 three local constructors ``_elevated`` (fresh minima under a minimal node),
 ``_glued`` (disjoint down-sets collapsed to points, which covers retractions
 and height-zero gluings) and ``_split`` (a minimal node split into one copy
-per cover, every other node renamed). None of them re-closes the order: the
+per cover, every other node renamed). ``_glued`` takes its covers from
+``_glued_covers``, which ``gluing.verify_gluing`` also reads when it needs
+the covers and not the poset. None of them re-closes the order: the
 values are immutable and safe to share, so the first two reuse their input's
 up-set objects, and ``_split`` renames them. Every operation here is a pure
 function of its inputs.
@@ -58,6 +60,8 @@ class Poset:
         raise AttributeError("Poset values are immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Poset):
             return NotImplemented
         return self.nodes == other.nodes and self.covers == other.covers
@@ -334,17 +338,18 @@ def _elevated(X: Poset, p: NodeId, fresh_ids: Sequence[NodeId]) -> Poset:
     )
 
 
-def _glued(X: Poset, members: Sequence[frozenset[NodeId]]) -> Poset:
-    """X with each member collapsed to its least id.
+def _glued_covers(
+    X: Poset, members: Sequence[frozenset[NodeId]]
+) -> tuple[set[tuple[NodeId, NodeId]], list[tuple[NodeId, set[NodeId]]]]:
+    """The covers of X with each member collapsed to its least id, and each
+    class with its upper covers, in one pass over X's covers.
 
-    The caller has checked that the members are disjoint down-sets of X. No
-    node outside them has a member in its up-set, so its up-set object and
-    its covers carry over unchanged. No cover enters a member from outside,
-    so the class c of member C gets ``{c} | up(b)`` over the covers (a, b)
-    that leave C, and its upper covers are the least such b.
+    The caller has checked that the members are disjoint down-sets of X. A
+    cover that starts outside them carries over unchanged, since no cover
+    enters a member from outside. The covers (a, b) that leave a member C
+    give its exits b, and the class c of C is covered by its least exits.
     """
     member_of = {x: i for i, C in enumerate(members) for x in C}
-    up = {x: u for x, u in X._up.items() if x not in member_of}
     covers = set()
     leaving: list[set[NodeId]] = [set() for _ in members]
     for a, b in X.covers:
@@ -353,14 +358,33 @@ def _glued(X: Poset, members: Sequence[frozenset[NodeId]]) -> Poset:
             covers.add((a, b))
         elif b not in member_of:
             leaving[i].add(b)
+    classes = []
     for C, exits in zip(members, leaving):
         c = min(C)
         above: set[NodeId] = set()
         for b in exits:
             above |= (X._up[b] & exits) - {b}
         least = exits - above
-        up[c] = frozenset({c}).union(*(X._up[b] for b in least))
         covers.update((c, b) for b in least)
+        classes.append((c, least))
+    return covers, classes
+
+
+def _glued(X: Poset, members: Sequence[frozenset[NodeId]]) -> Poset:
+    """X with each member collapsed to its least id.
+
+    The caller has checked that the members are disjoint down-sets of X. No
+    node outside them has a member in its up-set, so its up-set object
+    carries over unchanged. The covers are ``_glued_covers``'s, and the
+    class c of a member gets ``{c} | up(b)`` over its upper covers b.
+    """
+    covers, classes = _glued_covers(X, members)
+    up = dict(X._up)
+    for C in members:
+        for x in C:
+            del up[x]
+    for c, least in classes:
+        up[c] = frozenset({c}).union(*(X._up[b] for b in least))
     return Poset(tuple(sorted(up)), frozenset(covers), up)
 
 

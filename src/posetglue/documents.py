@@ -8,6 +8,7 @@ twice is byte-identical, and parse . emit is the identity on canonical text.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -25,6 +26,11 @@ def _load(text: str) -> Any:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError("JSON nests too deeply") from exc
+    except ValueError as exc:
+        # the one other ValueError: an integer literal past Python's digit cap
+        raise ParseError(
+            f"JSON integer literal has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
 
 
 def _expect(obj: Any, field: str, kind, where: str):

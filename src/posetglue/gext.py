@@ -32,12 +32,12 @@ One rule, ``_shared_minima``, decides unique covers for the split loop,
 ``retract`` and ``m_count``; the witness reads its shape off the covers in
 the one pass that also settles z's height. ``elevate`` validates its witness, and that call is the step
 loop's check. ``retract`` returns its witness unvalidated: its own input
-checks are the witness's shape fact, and its X is made by the ``_glued``
-call the gluing fact would repeat. ``decompose_to_point`` checks only that
-its steps rebuild the padded poset: the tracked ids must be a bijection
-carrying the padded poset's covers onto the final's, which catches a wrong
-split or retraction. Its embedding is that bijection on the original
-poset, which ``wrap`` makes a saturated subset, so it is left to
+checks are the witness's shape fact, and the gluing fact would read X's
+covers off the ``_glued_covers`` call that made them. ``decompose_to_point``
+checks only that its steps rebuild the padded poset: the tracked ids must be
+a bijection carrying the padded poset's covers onto the final's, which
+catches a wrong split or retraction. Its embedding is that bijection on the
+original poset, which ``wrap`` makes a saturated subset, so it is left to
 ``replay``. ``wrap`` checks nothing.
 """
 
@@ -134,11 +134,11 @@ def retract(Z: Poset, z: NodeId) -> ElevationWitness:
     instead of a re-closure of the order. The checks here name the faulty
     node for the caller, and the witness derives r and e from (Z, z, X).
     It is not validated: its shape fact is exactly these two checks, and
-    its gluing fact would rebuild X with the same ``_glued`` call that made
-    it. ``gextension_step`` collapses its pivot's down-set with
-    ``core._glued`` itself: its split loop has settled the preconditions,
-    and the elevation that undoes it is validated once, when the script's
-    step loop executes it.
+    its gluing fact would compare X's covers with those of the same
+    ``_glued_covers`` call that made them. ``gextension_step`` collapses its
+    pivot's down-set with ``core._glued`` itself: its split loop has settled
+    the preconditions, and the elevation that undoes it is validated once,
+    when the script's step loop executes it.
     """
     Z._check_node(z)
     if Z.height(z) != 1:

@@ -11,15 +11,18 @@ then calls it: ``glue_along_collection`` checks that every member is complete
 and merges overlapping members (``normalize_collection``);
 ``glue_along_complete`` is the one-member case, with its own checks and
 messages. Callers that have already proved those facts call ``_quotient``
-directly: ``verify_gluing`` once its pointwise checks show the members are
-g's fibers, ``_name_incomplete_stage`` after its per-stage check and
-``chains.glue_D_along_subcollection`` after its fiber check. CLI ``glue``
-prints ``glue_along_collection``'s result as built: ``verify_gluing`` would
-rebuild the same quotient with the same code.
+directly: ``_name_incomplete_stage`` after its per-stage check,
+``chains.glue_D_along_subcollection`` after its fiber check, and
+``verify_gluing`` to name a fault. CLI ``glue`` prints
+``glue_along_collection``'s result as built: ``verify_gluing`` would
+check it against the same code.
 ``verify_gluing`` certifies an arbitrary (X, Y, g, collection) claim by its
-pointwise checks, then rebuilds the canonical quotient and checks that the
-comparison map carries its covers onto Y's, which pins the claim up to
-unique iso. It checks the gluing claims other code makes:
+pointwise checks, then checks that the comparison map carries the canonical
+quotient's covers onto Y's, which pins the claim up to unique iso. Along
+down-sets it reads those covers off ``core._glued_covers``, the rule
+``_glued`` builds with, and builds no quotient poset; it calls
+``_quotient`` only when the covers differ, to name the witness pair, or when
+some member is not a down-set. It checks the gluing claims other code makes:
 ``chain_decomposition`` (X is a gluing of the chain sum),
 ``chains._check_split`` (X is a gluing of a split F, on both split paths)
 and ``ElevationWitness.validate``. The step loop's glue steps call
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import morphism
-from .core import NodeId, Poset, _glued, build
+from .core import NodeId, Poset, _glued, _glued_covers, build
 from .errors import (
     CycleDetected,
     EmptySet,
@@ -251,11 +254,13 @@ def verify_gluing(
     """Certify that (X, Y, g) is a gluing along the collection.
 
     Checks the two pointwise conditions directly (constant on members; any
-    collapsed pair lies in a common merged member), then rebuilds the
-    canonical quotient and requires the comparison map to be an isomorphism:
-    the images of the canonical covers must be exactly Y's covers. The
-    rebuild is ``core._glued`` whenever the members are down-sets, so it
-    costs time linear in the size of X on a chain.
+    collapsed pair lies in a common merged member), then requires the
+    comparison map to be an isomorphism: the images of the canonical
+    quotient's covers must be exactly Y's covers. When the members are
+    down-sets those covers come from ``core._glued_covers`` in one pass over
+    X's covers, and a claim that holds builds no quotient poset. The
+    quotient is built through ``_quotient`` only to name the witness pair of
+    a claim that fails, or when some member is not a down-set.
     """
     if not isinstance(g, PosetMap):
         g = PosetMap(X, Y, g)
@@ -296,12 +301,18 @@ def verify_gluing(
     # the relation they induce embeds in Y's order, so the canonical quotient
     # exists; g is surjective, so phi: class of x -> g(x) is a bijection onto
     # Y, order-preserving because g is, and an isomorphism iff it carries the
-    # canonical covers onto Y's covers.
+    # canonical covers onto Y's covers. A class is named by its least id, so
+    # phi is g on the class names. When the members are down-sets (no cover
+    # enters one from outside) their covers alone decide it.
+    g_of = g.assignment
+    if all(member_of.get(a) is member_of[b] for a, b in X.covers if b in member_of):
+        covers = _glued_covers(X, members)[0]
+        if {(g_of[a], g_of[b]) for a, b in covers} == Y.covers:
+            return GluingReport(True)
     try:
         Q, name_of = _quotient(X, members)
     except CycleDetected as exc:
         raise InternalInvariantError(f"the fibers of a poset map glue into a cycle: {exc}") from exc
-    g_of = g.assignment
     phi = {q: g_of[x] for x, q in name_of.items()}
     images = {(phi[a], phi[b]) for a, b in Q.covers}
     if images == Y.covers:

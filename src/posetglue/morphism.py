@@ -7,6 +7,8 @@ those. Each rung's scan (``poset_map_violation``, ``_reflection_violation``,
 ``_cover_violation``) checks no preconditions: a ``*_violation`` runs the rung
 below once and raises from its result, and a verifier walking the ladder
 calls the three in turn. They read up-sets directly; ``PosetMap`` checked ids.
+The two cover scans run over the covers unsorted and take the least faulty
+cover only when there is one, which is the cover a sorted scan stops at.
 
 One pass per verdict. ``PosetMap`` decides totality by comparing key views
 and scans only to name a fault. The embedding test and the saturated-subset
@@ -60,7 +62,8 @@ class PosetMap:
         return frozenset(x for x, v in self.assignment.items() if v == y)
 
     def is_surjective(self) -> bool:
-        return self.image() == frozenset(self.target.nodes)
+        # the constructor checked that every value is a target node
+        return len(set(self.assignment.values())) == len(self.target.nodes)
 
     def __eq__(self, other):
         if not isinstance(other, PosetMap):
@@ -91,10 +94,8 @@ def compose(f: PosetMap, g: PosetMap) -> PosetMap:
 def poset_map_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
     """A source cover whose image is not ordered, or None."""
     up, g = f.target._up, f.assignment
-    for a, b in sorted(f.source.covers):
-        if g[b] not in up[g[a]]:
-            return (a, b)
-    return None
+    bad = [(a, b) for a, b in f.source.covers if g[b] not in up[g[a]]]
+    return min(bad) if bad else None
 
 
 def is_poset_map(f: PosetMap) -> bool:
@@ -121,10 +122,9 @@ def _reflection_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
 
 def _cover_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:
     """A source cover whose image is not a cover, or None; f must be an embedding."""
-    for a, b in sorted(f.source.covers):
-        if not f.target.is_cover(f(a), f(b)):
-            return (a, b)
-    return None
+    covers, g = f.target.covers, f.assignment
+    bad = [(a, b) for a, b in f.source.covers if (g[a], g[b]) not in covers]
+    return min(bad) if bad else None
 
 
 def embedding_violation(f: PosetMap) -> Optional[tuple[NodeId, NodeId]]:

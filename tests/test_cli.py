@@ -432,6 +432,21 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err == "input error: JSON nests too deeply\n"
 
+    @pytest.mark.parametrize("command", ["info", "render"])
+    def test_lone_surrogate_id_is_input_error(self, capsys, tmp_path, command):
+        # the JSON escape parses to a str that UTF-8 cannot encode; the
+        # failure is found where the output is written, before any of it is
+        path = tmp_path / "surrogate.poset"
+        path.write_text('{"version": 1, "nodes": ["\\ud800", "b"], "covers": [["\\ud800", "b"]]}')
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "input error: cannot write '\\ud800' as utf-8: surrogates not allowed\n"
+        # a script escapes every id, so the same poset still decomposes
+        code, out = run(capsys, "decompose", str(path))
+        assert code == 0 and "\\ud800" in out
+
     @pytest.mark.parametrize("command", ["info", "replay"])
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_invalid_utf8_is_input_error(self, capsys, monkeypatch, tmp_path, command, source):

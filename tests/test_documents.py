@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -281,8 +282,31 @@ def first_glue(obj):
     return next(step for step in obj["steps"] if step["kind"] == "glue")
 
 
+# An integer literal past Python's cap on the digits it converts from text
+# (4,300 by default). Without the cap the same document parses, and its
+# version check refuses it.
+LONG_INTEGER = "1" * 5000
+DIGIT_CAP = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def long_integer_message(where):
+    if 0 < DIGIT_CAP < len(LONG_INTEGER):
+        return f"JSON integer literal has more than {DIGIT_CAP} digits"
+    return f"{where}: unsupported version {LONG_INTEGER}"
+
+
 UNFIRED_DOCUMENT_CHECKS = {
     "not-an-object": ("info", "[]", "poset: expected an object"),
+    "long-integer-poset": (
+        "info",
+        f'{{"version": {LONG_INTEGER}, "nodes": [], "covers": []}}',
+        long_integer_message("poset"),
+    ),
+    "long-integer-script": (
+        "replay",
+        f'{{"version": {LONG_INTEGER}}}',
+        long_integer_message("script"),
+    ),
     "one-element-cover": (
         "info",
         '{"version": 1, "nodes": ["a"], "covers": [["a"]]}',

@@ -47,7 +47,7 @@ from posetglue import (
     verify_gluing,
     wrap,
 )
-from posetglue import chains, core, gext, morphism
+from posetglue import chains, core, gext, gluing, morphism
 from posetglue.cli import main
 from posetglue.core import Poset
 from posetglue.documents import emit_poset, emit_script, parse_script
@@ -578,6 +578,16 @@ class TestOneForwardPath:
         # by the step loop's elevate, never by the backward pass's retraction
         assert len(validated) == expected
         assert expected == sum(isinstance(step, ElevateStep) for step in script.steps)
+
+    def test_replaying_x9_builds_no_quotient(self, monkeypatch):
+        # each elevation's gluing is decided by the canonical quotient's
+        # covers alone; a quotient poset is built only to name a fault
+        script = parse_script(X9_SCRIPT.read_text())
+        checks = counted_calls(monkeypatch, gext, "verify_gluing")
+        quotients = counted_calls(monkeypatch, gluing, "_quotient")
+        replay(script)
+        assert len(checks) == sum(isinstance(step, ElevateStep) for step in script.steps) == 9
+        assert quotients == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_step_is_executed_once(self, monkeypatch, x9, seed):

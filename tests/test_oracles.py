@@ -71,13 +71,25 @@ height-table versions they replaced, kept here as oracles, on every poset
 the descent visits from the inputs of the glue-step check;
 ``verify_gluing`` reads its comparison map off two assignments and is
 checked against the stagewise oracle also on targets with fresh ids.
+Along down-sets ``verify_gluing`` compares the covers ``core._glued_covers``
+gives and builds no quotient unless the claim fails; the body it replaced,
+which rebuilt the quotient through ``gluing._quotient`` on every call, is
+kept here as an oracle. Every gluing claim the code makes (each elevation
+the step loop validates on the n <= 6 sweep and the fixtures, each split
+and chain decomposition with n <= 5) and three mutants of each get the
+oracle's report, and the covers helper equals ``_glued``'s covers and the
+built quotient's.
 
 The embedding test and the saturated-subset test make one pass each,
 clearing a node by set algebra and naming the witness at the first node not
 cleared, and ``PosetMap``'s totality check decides by set algebra and scans
 only to name a fault; each is checked against its per-node scan, kept here
-as an oracle, down to the witness and the exception message. ``find_isomorphism`` backtracks with an explicit
-stack and is checked against the recursive search it replaced.
+as an oracle, down to the witness and the exception message. The cover
+scans of ``poset_map_violation`` and ``morphism._cover_violation`` run
+unsorted and are checked against the sorted scans, kept here, on seeded
+maps between posets with n <= 5, many with several faulty covers.
+``find_isomorphism`` backtracks with an explicit stack and is checked
+against the recursive search it replaced.
 
 ``all_posets_upto_iso`` generates each class's least-mask natural labelling
 directly; it is checked against the scan of all 2^C(n,2) relations it
@@ -90,6 +102,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from itertools import combinations, islice, permutations
@@ -136,7 +149,7 @@ from posetglue import (
 )
 from posetglue.chains import _first_in_block, _split_by_rank
 from posetglue.gext import _eta, _pivot, _shared_minima
-from posetglue.core import Poset, _glued
+from posetglue.core import Poset, _glued, _glued_covers
 from posetglue.gluing import (
     check_dim_min_preservation,
     fiber_collection,
@@ -144,7 +157,7 @@ from posetglue.gluing import (
     glue_along_complete,
     normalize_collection,
 )
-from posetglue import generate, gext, gluing
+from posetglue import chains, generate, gext, gluing, morphism
 from posetglue.generate import (
     _as_poset,
     _closed_relations,
@@ -829,6 +842,191 @@ def test_verify_gluing_matches_the_stagewise_verdict(small_posets):
                 assert verify_gluing(X, Y, g, collection)
     for seen in reasons.values():
         assert {"ok", "not a poset map", "comparison map is not an isomorphism"} <= seen
+
+
+def sorted_poset_map_violation(f):
+    """``poset_map_violation`` as it was: the covers scanned in sorted
+    order, so the first fault found is the least."""
+    up, g = f.target._up, f.assignment
+    for a, b in sorted(f.source.covers):
+        if g[b] not in up[g[a]]:
+            return (a, b)
+    return None
+
+
+def sorted_cover_violation(f):
+    """``morphism._cover_violation`` as it was, sorted the same way."""
+    for a, b in sorted(f.source.covers):
+        if not f.target.is_cover(f(a), f(b)):
+            return (a, b)
+    return None
+
+
+def rebuild_verify_gluing(X, Y, g, collection):
+    """``verify_gluing`` as it was: the same pointwise checks, then the
+    canonical quotient rebuilt through ``gluing._quotient`` on every call,
+    success included, and the comparison map read off its class names. The
+    scans are the sorted ones above."""
+    if not isinstance(g, PosetMap):
+        g = PosetMap(X, Y, g)
+    if g.source != X or g.target != Y:
+        return GluingReport(False, "map endpoints do not match the claimed posets")
+    pair = sorted_poset_map_violation(g)
+    if pair is not None:
+        return GluingReport(False, "not a poset map", pair)
+    if g.image() != frozenset(Y.nodes):
+        return GluingReport(False, "gluing map must be surjective")
+    raw = [frozenset(C) for C in collection]
+    for C in raw:
+        if not X._up.keys() >= C:
+            return GluingReport(False, "collection references unknown nodes")
+        if len({g(x) for x in C}) > 1:
+            return GluingReport(False, f"map is not constant on member {sorted(C)!r}")
+    members = normalize_collection(X, raw)
+    member_of = {x: C for C in members for x in C}
+    for C in fiber_collection(g):
+        xs = sorted(C)
+        for x in xs[1:]:
+            if member_of.get(xs[0]) is None or member_of.get(x) is not member_of.get(xs[0]):
+                return GluingReport(
+                    False, "distinct nodes collapse outside every collection member", (xs[0], x)
+                )
+    Q, name_of = gluing._quotient(X, members)
+    phi = {q: g.assignment[x] for x, q in name_of.items()}
+    images = {(phi[a], phi[b]) for a, b in Q.covers}
+    if images == Y.covers:
+        return GluingReport(True)
+    inverse = {y: q for q, y in phi.items()}
+    witness = next(
+        ((a, b) for a, b in sorted(Y.covers) if inverse[b] not in Q._up[inverse[a]]),
+        None,
+    )
+    if witness is None:
+        witness = min(images ^ Y.covers)
+    return GluingReport(False, "comparison map is not an isomorphism", witness)
+
+
+def recorded_gluing_claims(monkeypatch, module, run):
+    """Every (X, Y, g, collection) that ``module`` hands ``verify_gluing``
+    while run() runs, each with the report it got."""
+    claims = []
+    real = verify_gluing
+
+    def recording(X, Y, g, collection):
+        collection = [frozenset(C) for C in collection]
+        report = real(X, Y, g, collection)
+        claims.append((X, Y, g, collection, report))
+        return report
+
+    with monkeypatch.context() as patched:
+        patched.setattr(module, "verify_gluing", recording)
+        run()
+    return claims
+
+
+def mutated_claims(X, Y, g, collection, rng):
+    """The claim with Y rebuilt with one cover dropped, with two of g's
+    values swapped, and with Y rebuilt with one pair of incomparable nodes
+    ordered, which keeps g a poset map."""
+    ext = linear_extension(Y)
+    unordered = [(a, b) for i, a in enumerate(ext) for b in ext[i + 1 :] if not Y.leq(a, b)]
+    if unordered:
+        more = build(Y.nodes, [*Y.covers, rng.choice(unordered)])
+        yield X, more, PosetMap(X, more, g.assignment), collection
+    if Y.covers:
+        fewer = build(Y.nodes, Y.covers - {rng.choice(sorted(Y.covers))})
+        yield X, fewer, PosetMap(X, fewer, g.assignment), collection
+    if len(Y) >= 2:
+        y1, y2 = rng.sample(Y.nodes, 2)
+        swap = {y1: y2, y2: y1}
+        yield X, Y, PosetMap(X, Y, {x: swap.get(y, y) for x, y in g.assignment.items()}), collection
+
+
+def test_covers_only_verify_gluing_equals_the_rebuild(small_posets, monkeypatch):
+    # every gluing claim the code makes: each elevation the step loop
+    # validates on the n <= 6 sweep and the fixtures, each split and chain
+    # decomposition with n <= 5; each claim and three mutants of it must get
+    # the rebuild's report, down to the witness pair
+    elevations = []
+    posets = list(small_posets) + [
+        load_fixture(path.name) for path in sorted(FIXTURES.glob("*.poset"))
+    ]
+    for P in posets:
+        elevations += recorded_gluing_claims(monkeypatch, gext, partial(decompose_to_point, P))
+    splits = []
+    for P in small_posets:
+        if len(P) > 5:
+            continue
+        splits += recorded_gluing_claims(monkeypatch, chains, partial(chain_decomposition, P))
+        for u1 in sorted(P.min_nodes()):
+            for u2 in sorted(P.upper_covers(u1)):
+                run = partial(split_for_cover, P, u1, u2)
+                splits += recorded_gluing_claims(monkeypatch, chains, run)
+    rng = random.Random(12)
+    reasons = set()
+    tally = {"down-sets": 0, "other": 0}
+    for X, Y, g, collection, report in elevations + splits:
+        assert report == rebuild_verify_gluing(X, Y, g, collection)
+        assert report
+        members = normalize_collection(X, collection)
+        if all(is_down_set(X, C) for C in members):
+            tally["down-sets"] += 1
+            covers, _ = _glued_covers(X, members)
+            assert covers == _glued(X, members).covers == built_quotient(X, members)[0].covers
+        else:
+            tally["other"] += 1
+        for claim in mutated_claims(X, Y, g, collection, rng):
+            mutant = verify_gluing(*claim)
+            assert mutant == rebuild_verify_gluing(*claim)
+            reasons.add(mutant.reason)
+    assert {"not a poset map", "comparison map is not an isomorphism"} <= reasons
+    assert (len(elevations), len(splits)) == (1836, 497)
+    assert tally == {"down-sets": 2117, "other": 216}
+
+
+def random_assignments(posets, rng):
+    """Seeded maps between posets with n <= 5: arbitrary assignments, and
+    the maps of ``random_maps``, order-preserving or not."""
+    for _ in range(2000):
+        P, Q = rng.choice(posets), rng.choice(posets)
+        yield PosetMap(P, Q, {x: rng.choice(Q.nodes) for x in P.nodes})
+    for P in posets:
+        yield from random_maps(P, rng)
+
+
+def test_unsorted_scans_name_the_sorted_scans_witness(small_posets):
+    # tally each scan's maps by how many covers fault, none, one or several:
+    # with several, the witness is the least of them
+    rng = random.Random(13)
+    posets = [P for P in small_posets if len(P) <= 5]
+    tally = Counter()
+    for f in random_assignments(posets, rng):
+        up, covers = f.target._up, f.target.covers
+        for kind, scan, oracle, faults in (
+            (
+                "poset map",
+                poset_map_violation,
+                sorted_poset_map_violation,
+                [(a, b) for a, b in f.source.covers if f(b) not in up[f(a)]],
+            ),
+            (
+                "cover",
+                morphism._cover_violation,
+                sorted_cover_violation,
+                [(a, b) for a, b in f.source.covers if (f(a), f(b)) not in covers],
+            ),
+        ):
+            assert scan(f) == oracle(f)
+            tally[kind, min(len(faults), 2)] += 1
+        assert f.is_surjective() == (f.image() == frozenset(f.target.nodes))
+    assert tally == {
+        ("poset map", 0): 890,
+        ("poset map", 1): 515,
+        ("poset map", 2): 1371,
+        ("cover", 0): 442,
+        ("cover", 1): 308,
+        ("cover", 2): 2026,
+    }
 
 
 def restart_normalize_collection(X, collection):
