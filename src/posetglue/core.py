@@ -9,11 +9,11 @@ three local constructors ``_elevated`` (fresh minima under a minimal node),
 ``_glued`` (disjoint down-sets collapsed to points, which covers retractions
 and height-zero gluings) and ``_split`` (a minimal node split into one copy
 per cover, every other node renamed). ``_glued`` takes its covers from
-``_glued_covers``, which ``gluing.verify_gluing`` also reads when it needs
-the covers and not the poset. None of them re-closes the order: the
-values are immutable and safe to share, so the first two reuse their input's
-up-set objects, and ``_split`` renames them. Every operation here is a pure
-function of its inputs.
+``_glued_covers``, which ``gluing.verify_gluing`` also reads, on convex
+members of any kind, when it needs the covers and not the poset. None of
+them re-closes the order: the values are immutable and safe to share, so
+the first two reuse their input's up-set objects, and ``_split`` renames
+them. Every operation here is a pure function of its inputs.
 All iteration is over sorted ids so results are reproducible byte-for-byte.
 """
 
@@ -307,9 +307,11 @@ def build(nodes: Iterable[NodeId], relation: Iterable[tuple[NodeId, NodeId]]) ->
                 ready.append(a)
 
     if len(strict_up) < len(node_set):
-        # Kahn stalled, so there is a cycle; graphlib names one for the message
+        # Kahn stalled, so there is a cycle; graphlib names one for the
+        # message, walking sorted nodes and successors so that it does not
+        # depend on the hash seed
         try:
-            graphlib.TopologicalSorter(succ).prepare()
+            graphlib.TopologicalSorter({x: sorted(succ[x]) for x in sorted(succ)}).prepare()
         except graphlib.CycleError as exc:
             raise CycleDetected(f"relation closure has a cycle: {exc.args[1]}") from exc
 
@@ -341,13 +343,18 @@ def _elevated(X: Poset, p: NodeId, fresh_ids: Sequence[NodeId]) -> Poset:
 def _glued_covers(
     X: Poset, members: Sequence[frozenset[NodeId]]
 ) -> tuple[set[tuple[NodeId, NodeId]], list[tuple[NodeId, set[NodeId]]]]:
-    """The covers of X with each member collapsed to its least id, and each
-    class with its upper covers, in one pass over X's covers.
+    """Cover pairs of X glued along the members, each member named by its
+    least id, and each class with its least exits, in one pass over X's
+    covers.
 
-    The caller has checked that the members are disjoint down-sets of X. A
-    cover that starts outside them carries over unchanged, since no cover
-    enters a member from outside. The covers (a, b) that leave a member C
-    give its exits b, and the class c of C is covered by its least exits.
+    The caller has checked that the members are disjoint and convex in X. A
+    cover that starts outside them carries over unchanged, and one that
+    starts in a member and ends in a member is dropped. The covers (a, b)
+    that leave a member C give its exits b, and the class c of C is paired
+    with its least exits. The ends of each pair then lie in distinct classes
+    that are ordered in the canonical quotient. When the members are
+    down-sets no cover enters one from outside, so each pair names two
+    classes, and the pairs are exactly the quotient's covers.
     """
     member_of = {x: i for i, C in enumerate(members) for x in C}
     covers = set()

@@ -532,7 +532,7 @@ def _verify_certificate(script: ConstructionScript) -> None:
     ``script.final`` (or, without a source, lands on a saturated subset)."""
     final = script.final
     image = set(script.embedding.values())
-    missing = [y for y in image if y not in final]
+    missing = sorted(y for y in image if y not in final)
     if missing:
         raise BrokenEmbedding(f"embedding lands outside the final poset: {missing[:3]!r}")
     # with a source, the saturated embedding checked below implies this

@@ -17,12 +17,14 @@ directly: ``_name_incomplete_stage`` after its per-stage check,
 ``glue_along_collection``'s result as built: ``verify_gluing`` would
 check it against the same code.
 ``verify_gluing`` certifies an arbitrary (X, Y, g, collection) claim by its
-pointwise checks, then checks that the comparison map carries the canonical
-quotient's covers onto Y's, which pins the claim up to unique iso. Along
-down-sets it reads those covers off ``core._glued_covers``, the rule
-``_glued`` builds with, and builds no quotient poset; it calls
-``_quotient`` only when the covers differ, to name the witness pair, or when
-some member is not a down-set. It checks the gluing claims other code makes:
+pointwise checks, the second of them a node count, then checks that the
+comparison map carries the canonical quotient's covers onto Y's, which pins
+the claim up to unique iso. It first reads covers off
+``core._glued_covers``, the rule ``_glued`` builds with: on any disjoint
+convex members each pair it returns is ordered in the quotient, so a match
+proves the claim, and along down-sets they are exactly the quotient's
+covers. It calls ``_quotient`` only when they differ, to decide the claim
+or name the witness pair. It checks the gluing claims other code makes:
 ``chain_decomposition`` (X is a gluing of the chain sum),
 ``chains._check_split`` (X is a gluing of a split F, on both split paths)
 and ``ElevationWitness.validate``. The step loop's glue steps call
@@ -256,11 +258,14 @@ def verify_gluing(
     Checks the two pointwise conditions directly (constant on members; any
     collapsed pair lies in a common merged member), then requires the
     comparison map to be an isomorphism: the images of the canonical
-    quotient's covers must be exactly Y's covers. When the members are
-    down-sets those covers come from ``core._glued_covers`` in one pass over
-    X's covers, and a claim that holds builds no quotient poset. The
-    quotient is built through ``_quotient`` only to name the witness pair of
-    a claim that fails, or when some member is not a down-set.
+    quotient's covers must be exactly Y's covers. The second condition is a
+    count of classes against Y's nodes, and the fibers of g are read only to
+    name the pair when it fails. The covers are first read off
+    ``core._glued_covers`` in one pass over X's covers; a match proves the
+    claim, and along down-sets those pairs are the quotient's covers, so a
+    claim that holds there builds no quotient poset. On a mismatch the
+    quotient is built through ``_quotient`` to decide the claim or name its
+    witness pair.
     """
     if not isinstance(g, PosetMap):
         g = PosetMap(X, Y, g)
@@ -282,33 +287,32 @@ def verify_gluing(
             return GluingReport(False, f"map is not constant on member {sorted(C)!r}")
     members = normalize_collection(X, raw)
 
-    member_of: dict[NodeId, frozenset[NodeId]] = {}
-    for C in members:
-        for x in C:
-            member_of[x] = C
-    for C in fiber_collection(g):
-        xs = sorted(C)
-        for x in xs[1:]:
-            if member_of.get(xs[0]) is None or member_of.get(x) is not member_of.get(xs[0]):
-                return GluingReport(
-                    False,
-                    "distinct nodes collapse outside every collection member",
-                    (xs[0], x),
-                )
+    # g is surjective and constant on each merged member, so it collapses
+    # nothing else iff it has one value per class; the fibers name the pair
+    # only when it does not
+    if len(X.nodes) - sum(len(C) - 1 for C in members) != len(Y.nodes):
+        member_of = {x: C for C in members for x in C}
+        for C in fiber_collection(g):
+            xs = sorted(C)
+            for x in xs[1:]:
+                if member_of.get(xs[0]) is None or member_of.get(x) is not member_of.get(xs[0]):
+                    return GluingReport(
+                        False,
+                        "distinct nodes collapse outside every collection member",
+                        (xs[0], x),
+                    )
 
-    # g is constant on each merged member and collapses nothing else, so its
-    # fibers are exactly the members. Fibers of a poset map are convex and
-    # the relation they induce embeds in Y's order, so the canonical quotient
-    # exists; g is surjective, so phi: class of x -> g(x) is a bijection onto
-    # Y, order-preserving because g is, and an isomorphism iff it carries the
-    # canonical covers onto Y's covers. A class is named by its least id, so
-    # phi is g on the class names. When the members are down-sets (no cover
-    # enters one from outside) their covers alone decide it.
+    # the fibers of g are exactly the members. Fibers of a poset map are
+    # convex and the relation they induce embeds in Y's order, so the
+    # canonical quotient exists; g is surjective, so phi: class of x -> g(x)
+    # is a bijection onto Y, order-preserving because g is. A class is named
+    # by its least id, so phi is g on the class names. Each pair
+    # ``_glued_covers`` returns is ordered in the quotient, so when phi
+    # carries them onto Y's covers, phi's inverse is order-preserving too
+    # and phi is an isomorphism. Otherwise the quotient decides.
     g_of = g.assignment
-    if all(member_of.get(a) is member_of[b] for a, b in X.covers if b in member_of):
-        covers = _glued_covers(X, members)[0]
-        if {(g_of[a], g_of[b]) for a, b in covers} == Y.covers:
-            return GluingReport(True)
+    if {(g_of[a], g_of[b]) for a, b in _glued_covers(X, members)[0]} == Y.covers:
+        return GluingReport(True)
     try:
         Q, name_of = _quotient(X, members)
     except CycleDetected as exc:

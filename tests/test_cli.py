@@ -528,6 +528,42 @@ class TestInputErrors:
             errs.add(proc.stderr)
         assert errs == {f"input error: unknown node {least!r}\n"}
 
+    @pytest.mark.parametrize("command, code", [("info", 2), ("replay", 1)])
+    def test_cycle_and_stray_embedding_messages_do_not_depend_on_the_hash_seed(
+        self, tmp_path, command, code
+    ):
+        # info reads a document with two 3-cycles, of which graphlib names
+        # one; replay reads the diamond's script with its five embedding
+        # values renamed to ids outside the final poset, of which three are
+        # named
+        path = tmp_path / "input.json"
+        if command == "info":
+            cycles = [["a", "b"], ["b", "c"], ["c", "a"], ["d", "e"], ["e", "f"], ["f", "d"]]
+            doc = {"version": 1, "nodes": list("abcdef"), "covers": cycles}
+        else:
+            doc = json.loads((GOLDEN / "diamond.script").read_text())
+            doc["embedding"] = {x: f"zz{i}" for i, x in enumerate(sorted(doc["embedding"]))}
+        path.write_text(json.dumps(doc))
+        errs = set()
+        for seed in ("0", "1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "posetglue.cli", command, str(path)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == code and proc.stdout == ""
+            assert proc.stderr.count("\n") == 1
+            errs.add(proc.stderr)
+        if command == "info":
+            assert len(errs) == 1
+            assert errs.pop().startswith("input error: relation closure has a cycle: ")
+        else:
+            assert errs == {
+                "verification failed: embedding lands outside the final poset: "
+                "['zz0', 'zz1', 'zz2']\n"
+            }
+
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom\nsecond line")

@@ -580,14 +580,22 @@ class TestOneForwardPath:
         assert expected == sum(isinstance(step, ElevateStep) for step in script.steps)
 
     def test_replaying_x9_builds_no_quotient(self, monkeypatch):
-        # each elevation's gluing is decided by the canonical quotient's
-        # covers alone; a quotient poset is built only to name a fault
+        # each elevation's gluing is decided by a node count and the
+        # canonical quotient's covers alone, read in one ``_glued_covers``
+        # call; g's fibers are read and a quotient poset is built only to
+        # name a fault
         script = parse_script(X9_SCRIPT.read_text())
         checks = counted_calls(monkeypatch, gext, "verify_gluing")
         quotients = counted_calls(monkeypatch, gluing, "_quotient")
+        fibers = counted_calls(monkeypatch, gluing, "fiber_collection")
+        # gluing's binding only: glue steps reach the rule through core._glued
+        covers = []
+        real_covers = gluing._glued_covers
+        monkeypatch.setattr(gluing, "_glued_covers", lambda *a: covers.append(a) or real_covers(*a))
         replay(script)
         assert len(checks) == sum(isinstance(step, ElevateStep) for step in script.steps) == 9
-        assert quotients == []
+        assert quotients == [] and fibers == []
+        assert len(covers) == 9
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_step_is_executed_once(self, monkeypatch, x9, seed):

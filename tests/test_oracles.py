@@ -71,14 +71,15 @@ height-table versions they replaced, kept here as oracles, on every poset
 the descent visits from the inputs of the glue-step check;
 ``verify_gluing`` reads its comparison map off two assignments and is
 checked against the stagewise oracle also on targets with fresh ids.
-Along down-sets ``verify_gluing`` compares the covers ``core._glued_covers``
-gives and builds no quotient unless the claim fails; the body it replaced,
-which rebuilt the quotient through ``gluing._quotient`` on every call, is
-kept here as an oracle. Every gluing claim the code makes (each elevation
-the step loop validates on the n <= 6 sweep and the fixtures, each split
-and chain decomposition with n <= 5) and three mutants of each get the
-oracle's report, and the covers helper equals ``_glued``'s covers and the
-built quotient's.
+``verify_gluing`` counts classes instead of reading g's fibers, and
+compares the pairs ``core._glued_covers`` gives with Y's covers, building a
+quotient only when they differ; the body it replaced, which read the fibers
+and rebuilt the quotient through ``gluing._quotient`` on every call, is kept
+here as an oracle. Every gluing claim the code makes (each elevation the
+step loop validates on the n <= 6 sweep and the fixtures, each split and
+chain decomposition with n <= 5) and four mutants of each get the oracle's
+report; along down-sets the covers helper equals ``_glued``'s covers and
+the built quotient's, and no quotient is built.
 
 The embedding test and the saturated-subset test make one pass each,
 clearing a node by set algebra and naming the witness at the first node not
@@ -926,8 +927,9 @@ def recorded_gluing_claims(monkeypatch, module, run):
 
 def mutated_claims(X, Y, g, collection, rng):
     """The claim with Y rebuilt with one cover dropped, with two of g's
-    values swapped, and with Y rebuilt with one pair of incomparable nodes
-    ordered, which keeps g a poset map."""
+    values swapped, with Y rebuilt with one pair of incomparable nodes
+    ordered, which keeps g a poset map, and with one member of the
+    collection dropped, which g may then collapse outside every member."""
     ext = linear_extension(Y)
     unordered = [(a, b) for i, a in enumerate(ext) for b in ext[i + 1 :] if not Y.leq(a, b)]
     if unordered:
@@ -940,13 +942,18 @@ def mutated_claims(X, Y, g, collection, rng):
         y1, y2 = rng.sample(Y.nodes, 2)
         swap = {y1: y2, y2: y1}
         yield X, Y, PosetMap(X, Y, {x: swap.get(y, y) for x, y in g.assignment.items()}), collection
+    if collection:
+        dropped = rng.randrange(len(collection))
+        yield X, Y, g, [C for i, C in enumerate(collection) if i != dropped]
 
 
 def test_covers_only_verify_gluing_equals_the_rebuild(small_posets, monkeypatch):
     # every gluing claim the code makes: each elevation the step loop
     # validates on the n <= 6 sweep and the fixtures, each split and chain
-    # decomposition with n <= 5; each claim and three mutants of it must get
-    # the rebuild's report, down to the witness pair
+    # decomposition with n <= 5; each claim and four mutants of it must get
+    # the rebuild's report, down to the witness pair. A claim whose members
+    # are down-sets is accepted by its covers alone; the others are counted
+    # by whether they need the quotient
     elevations = []
     posets = list(small_posets) + [
         load_fixture(path.name) for path in sorted(FIXTURES.glob("*.poset"))
@@ -962,26 +969,42 @@ def test_covers_only_verify_gluing_equals_the_rebuild(small_posets, monkeypatch)
             for u2 in sorted(P.upper_covers(u1)):
                 run = partial(split_for_cover, P, u1, u2)
                 splits += recorded_gluing_claims(monkeypatch, chains, run)
+    quotients = []
+    real_quotient = gluing._quotient
+
+    def counted_quotient(*args):
+        quotients.append(args)
+        return real_quotient(*args)
+
+    monkeypatch.setattr(gluing, "_quotient", counted_quotient)
     rng = random.Random(12)
     reasons = set()
-    tally = {"down-sets": 0, "other": 0}
+    tally = {"down-sets": 0, "other": 0, "other, by covers alone": 0}
     for X, Y, g, collection, report in elevations + splits:
         assert report == rebuild_verify_gluing(X, Y, g, collection)
+        quotients.clear()
+        assert verify_gluing(X, Y, g, collection) == report
         assert report
         members = normalize_collection(X, collection)
         if all(is_down_set(X, C) for C in members):
             tally["down-sets"] += 1
+            assert not quotients
             covers, _ = _glued_covers(X, members)
             assert covers == _glued(X, members).covers == built_quotient(X, members)[0].covers
         else:
             tally["other"] += 1
+            tally["other, by covers alone"] += not quotients
         for claim in mutated_claims(X, Y, g, collection, rng):
             mutant = verify_gluing(*claim)
             assert mutant == rebuild_verify_gluing(*claim)
             reasons.add(mutant.reason)
-    assert {"not a poset map", "comparison map is not an isomorphism"} <= reasons
+    assert {
+        "not a poset map",
+        "distinct nodes collapse outside every collection member",
+        "comparison map is not an isomorphism",
+    } <= reasons
     assert (len(elevations), len(splits)) == (1836, 497)
-    assert tally == {"down-sets": 2117, "other": 216}
+    assert tally == {"down-sets": 2117, "other": 216, "other, by covers alone": 67}
 
 
 def random_assignments(posets, rng):
