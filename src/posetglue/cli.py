@@ -1,13 +1,15 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (usage errors
-included), 3 internal invariant violation. Every failure prints one stderr
-line. `-` reads stdin / writes stdout.
+included), 3 internal invariant violation. A command fails only by raising,
+and `main` maps the exception to its exit code and one stderr line (none
+when stderr is closed) through `FAILURES`. `-` reads stdin / writes stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -32,6 +34,8 @@ def _read(path: str) -> str:
     """The document's bytes from path, or stdin for `-`, decoded as UTF-8
     here for both, so the locale's stdin error handler plays no part."""
     if path == "-":
+        if sys.stdin is None:
+            raise InputError("stdin is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
@@ -45,22 +49,32 @@ def _read(path: str) -> str:
         ) from exc
 
 
-def _write(text: str) -> None:
-    """Write to stdout. Text that stdout cannot encode, such as a node id
-    holding a lone surrogate from a JSON escape, is an input error; the
-    encoder raises before any of the text is written."""
+def _write(text: str, name: str = "stdout") -> None:
+    """Write text to stdout, or to the standard stream `name`, and flush it.
+    A closed stream is an input error. So is text that the stream cannot
+    encode, such as a node id holding a lone surrogate from a JSON escape;
+    the encoder raises before any of the text is written. A stream whose
+    write fails (a broken pipe, a full device) is dropped, so the flush at
+    exit does not fail again on the text it still holds."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise InputError(f"{name} is closed")
     try:
-        sys.stdout.write(text)
+        stream.write(text)
+        stream.flush()
     except UnicodeEncodeError as exc:
         bad = exc.object[exc.start : exc.end]
         raise InputError(f"cannot write {bad!r} as {exc.encoding}: {exc.reason}") from exc
+    except OSError:
+        setattr(sys, name, None)
+        raise
 
 
 def _load_poset(path: str):
     return documents.parse_poset(_read(path))
 
 
-def cmd_info(args) -> int:
+def cmd_info(args) -> None:
     P = _load_poset(args.poset)
     lines = [
         f"nodes: {len(P.nodes)}",
@@ -71,10 +85,9 @@ def cmd_info(args) -> int:
         f"maximal chains: {P.maximal_chain_count() if P.nodes else 0}",
     ]
     _write("\n".join(lines) + "\n")
-    return EXIT_OK
 
 
-def cmd_verify_embedding(args) -> int:
+def cmd_verify_embedding(args) -> None:
     X = _load_poset(args.source)
     Y = _load_poset(args.target)
     assignment = documents.parse_map(_read(args.map))
@@ -92,10 +105,9 @@ def cmd_verify_embedding(args) -> int:
             raise BrokenEmbedding(verdict, pair=pair)
         _write(f"{rung}: yes\n")
     _write(f"isomorphism: {'yes' if f.is_surjective() else 'no'}\n")
-    return EXIT_OK
 
 
-def cmd_glue(args) -> int:
+def cmd_glue(args) -> None:
     X = _load_poset(args.poset)
     collection = [part.split(",") for part in args.along]
     witness = gluing.glue_along_collection(X, collection)
@@ -107,10 +119,9 @@ def cmd_glue(args) -> int:
         "height_zero": gluing.is_height_zero_gluing(witness),
     }
     _write(json.dumps(obj, indent=2) + "\n")
-    return EXIT_OK
 
 
-def cmd_split(args) -> int:
+def cmd_split(args) -> None:
     X = _load_poset(args.poset)
     if X.nodes and (count := X.maximal_chain_count()) > SPLIT_MAX_CHAINS:
         raise InputError(
@@ -124,21 +135,18 @@ def cmd_split(args) -> int:
         "f_map": dict(sorted(result.f_F.assignment.items())),
     }
     _write(json.dumps(obj, indent=2) + "\n")
-    return EXIT_OK
 
 
-def cmd_elevate(args) -> int:
+def cmd_elevate(args) -> None:
     X = _load_poset(args.poset)
     witness = elevate(X, args.at, args.count)
     _write(_elevation_obj(witness, "z"))
-    return EXIT_OK
 
 
-def cmd_retract(args) -> int:
+def cmd_retract(args) -> None:
     Z = _load_poset(args.poset)
     witness = retract(Z, args.at)
     _write(_elevation_obj(witness, "x"))
-    return EXIT_OK
 
 
 def _elevation_obj(witness, result_key: str) -> str:
@@ -187,40 +195,40 @@ def _parse_wrap(text: str) -> WrapOptions:
     return WrapOptions(single_min, min_height, min_dim)
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> None:
     X = _load_poset(args.poset)
     script = decompose_to_point(X, _parse_wrap(args.wrap))
     _write(documents.emit_script(script))
-    return EXIT_OK
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> None:
     script = documents.parse_script(_read(args.script))
     _, report = replay(script)
     _write(str(report) + "\n")
-    return EXIT_OK
 
 
-def cmd_render(args) -> int:
+def cmd_render(args) -> None:
     P = _load_poset(args.poset)
     highlight = args.highlight.split(",") if args.highlight else []
     _write(documents.emit_dot(P, highlight))
-    return EXIT_OK
 
 
-def cmd_random(args) -> int:
+def cmd_random(args) -> None:
     P = random_poset(args.seed, args.nodes, args.p)
     _write(documents.emit_poset(P))
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are input errors, so they keep
-    the one-line contract instead of printing a usage line and exiting.
-    Subcommand parsers are made with the same class."""
+    the one-line contract instead of printing a usage line and exiting, and
+    whose help goes through `_write`, so a stdout that cannot take it is an
+    input error too. Subcommand parsers are made with the same class."""
 
     def error(self, message):
         raise InputError(f"{self.prog}: {message}")
+
+    def print_help(self, file=None):
+        _write(self.format_help())
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -290,25 +298,29 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each failure's exit code and the format of its one stderr line, by the
+# first family the exception belongs to; an OSError (a missing file, an
+# unwritable stdout) is an input error, and anything else is a bug, whose
+# repr keeps it on one line.
+FAILURES = (
+    (VerificationFailure, EXIT_VERIFICATION, "verification failed: {}"),
+    ((InputError, OSError), EXIT_INPUT, "input error: {}"),
+    (InternalInvariantError, EXIT_INTERNAL, "internal invariant violated: {}"),
+    (Exception, EXIT_INTERNAL, "internal error: {!r}"),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        return args.func(args)
-    except VerificationFailure as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InternalInvariantError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as exc:  # anything else is a bug; repr keeps it on one line
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+        args.func(args)
+        return EXIT_OK
+    except Exception as exc:
+        code, line = next((c, f.format(exc)) for kind, c, f in FAILURES if isinstance(exc, kind))
+    # a closed stderr takes no line; the exit code still names the family
+    with contextlib.suppress(InputError, OSError):
+        _write(line + "\n", "stderr")
+    return code
 
 
 if __name__ == "__main__":

@@ -9,13 +9,17 @@ order relation. Frozen expected values in the tests were produced by these.
 from __future__ import annotations
 
 import importlib.util
+import io
+import sys
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import posetglue
 from posetglue import ConstructionScript, ElevateStep, GlueStep, Poset, build
+from posetglue.cli import main
 from posetglue.documents import parse_poset
 from posetglue.generate import random_poset
 
@@ -120,6 +124,51 @@ def three_minima_script(*partition):
         final=build(["a", "c", "p0"], [("a", "p0"), ("c", "p0")]),
         embedding={"p0": "p0"},
     )
+
+
+# the prefixes of the one stderr line of each nonzero exit code
+FAMILIES = {
+    1: ("verification failed: ",),
+    2: ("input error: ",),
+    3: ("internal invariant violated: ", "internal error: "),
+}
+
+
+def check_contract(code, out, err, expect=None, line=None, *, bug=False, report=False):
+    """The CLI's exit contract on a run that gave (code, out, err): exit 0
+    with an empty stderr, or exit 1 or 2 (3 only where the caller injects a
+    bug) with exactly one stderr line that starts with its family's prefix
+    and an empty stdout; never a traceback. `expect` is the exit code the
+    caller requires, and `line` the stderr line, or its prefix when it does
+    not end in a newline. With `report`, a failed verification may print
+    its report on stdout first, as verify-embedding does."""
+    assert "Traceback" not in err, err
+    assert code in ((0, 1, 2, 3) if bug else (0, 1, 2)), (code, err)
+    assert expect is None or code == expect, (code, err)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith(FAMILIES[code]), err
+        assert out == "" or (report and code == 1), out
+    else:
+        assert err == "", err
+    if line is not None:
+        assert err == line if line.endswith("\n") else err.startswith(line), err
+
+
+def run_cli(argv, stdin=b""):
+    """`cli.main` on argv in-process, with stdin holding the given bytes and
+    UTF-8 stdout and stderr, as on a pipe: (exit code, stdout, stderr)."""
+    streams = {
+        "stdin": io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"),
+        "stdout": io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True),
+        "stderr": io.TextIOWrapper(
+            io.BytesIO(), encoding="utf-8", errors="backslashreplace", write_through=True
+        ),
+    }
+    with mock.patch.multiple(sys, **streams):
+        code = main(list(argv))
+    out, err = (streams[name].buffer.getvalue().decode("utf-8") for name in ("stdout", "stderr"))
+    return code, out, err
 
 
 def oracle_reachable(P: Poset, a: str, b: str) -> bool:

@@ -27,7 +27,7 @@ from posetglue.documents import (
 from posetglue.cli import main
 from posetglue.generate import random_poset
 
-from conftest import FIXTURES, SCALE_FAMILIES
+from conftest import FIXTURES, SCALE_FAMILIES, check_contract
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -340,16 +340,13 @@ def test_malformed_document_exits_2_on_one_line(capsys, tmp_path, case):
     command, text, message = UNFIRED_DOCUMENT_CHECKS[case]
     path = tmp_path / "document"
     path.write_text(text)
-    code = main([command, str(path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"input error: {message}\n"
+    check_contract(main([command, str(path)]), *capsys.readouterr(), 2, f"input error: {message}\n")
 
 
 # The first 16 hex digits of the SHA-256 of each emitted script: inputs past
 # the exhaustive sweeps' sizes, where a change in the emitted bytes would
-# otherwise show only in the benchmark's per-seed digests.
+# otherwise show only in the benchmark's per-seed digests. Each script must
+# also parse and certify.
 SCALE_PINS = {
     "diamond_ladder(40)": "8ace51813eeda134",
     "fence(200)": "7e5f2bf83df2f322",
@@ -363,3 +360,5 @@ SCALE_PINS = {
 def test_scale_family_script_bytes_are_pinned(family):
     text = emit_script(decompose_to_point(SCALE_FAMILIES[family]()))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == SCALE_PINS[family]
+    _, report = replay(parse_script(text))
+    assert str(report).endswith("saturated embedding of the source verified")

@@ -54,7 +54,14 @@ from posetglue.documents import emit_poset, emit_script, parse_script
 from posetglue.gluing import fiber_collection, is_height_zero_gluing
 from posetglue.generate import random_poset
 
-from conftest import FIXTURES, benchmark_inputs, diamond_ladder, load_fixture, three_minima_script
+from conftest import (
+    FIXTURES,
+    benchmark_inputs,
+    check_contract,
+    diamond_ladder,
+    load_fixture,
+    three_minima_script,
+)
 
 
 def chain(*ids):
@@ -448,13 +455,9 @@ class TestDecomposeToPoint:
 
     def test_lost_tracked_ids_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(gext, "fiber_collection", lambda h: ())
+        message = "internal invariant violated: forward run is not isomorphic to the padded poset\n"
         code = main(["decompose", str(FIXTURES / "x9.poset")])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == (
-            "internal invariant violated: forward run is not isomorphic to the padded poset\n"
-        )
+        check_contract(code, *capsys.readouterr(), 3, message, bug=True)
 
 
 @pytest.fixture(scope="module")
@@ -654,11 +657,7 @@ class TestOneForwardPath:
         path = tmp_path / "x9.script"
         path.write_text(capsys.readouterr().out)
         code = main(["replay", str(path)])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err.startswith("verification failed: tracked map")
-        assert captured.err.count("\n") == 1
+        check_contract(code, *capsys.readouterr(), 1, "verification failed: tracked map")
 
     @pytest.fixture
     def merging_sigma(self, monkeypatch):
@@ -704,13 +703,8 @@ class TestOneForwardPath:
     def test_merging_sigma_exits_3(self, capsys, tmp_path, merging_sigma):
         path = tmp_path / "two-chains.poset"
         path.write_text(emit_poset(merging_sigma))
-        code = main(["decompose", str(path)])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err == (
-            "internal invariant violated: forward run is not isomorphic to the padded poset\n"
-        )
+        message = "internal invariant violated: forward run is not isomorphic to the padded poset\n"
+        check_contract(main(["decompose", str(path)]), *capsys.readouterr(), 3, message, bug=True)
 
     @pytest.fixture
     def corrupt_retraction(self, monkeypatch):
@@ -745,12 +739,8 @@ class TestOneForwardPath:
 
     def test_corrupted_retraction_exits_3(self, capsys, corrupt_retraction):
         code = main(["decompose", str(FIXTURES / "x9.poset")])
-        captured = capsys.readouterr()
+        check_contract(code, *capsys.readouterr(), 3, "internal invariant violated: ", bug=True)
         assert len(corrupt_retraction) == 1
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("internal invariant violated: ")
-        assert captured.err.count("\n") == 1
 
     def test_own_step_mismatch_is_an_internal_error(self, monkeypatch, x9):
         # fresh ids that repeat the target, already taken, make the first
@@ -783,12 +773,9 @@ class TestDescentInvariant:
             reduce_dimension(x9)
 
     def test_cli_decompose_exits_3(self, capsys, stalled_step):
+        message = "internal invariant violated: (dim, eta) failed"
         code = main(["decompose", str(FIXTURES / "x9.poset")])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("internal invariant violated: (dim, eta) failed")
-        assert captured.err.count("\n") == 1
+        check_contract(code, *capsys.readouterr(), 3, message, bug=True)
 
 
 class TestDescentWork:
@@ -939,12 +926,8 @@ class TestUncheckedSplits:
 
     def test_corrupted_split_exits_3(self, capsys, corrupt_split):
         code = main(["decompose", str(FIXTURES / "x9.poset")])
-        captured = capsys.readouterr()
+        check_contract(code, *capsys.readouterr(), 3, "internal invariant violated: ", bug=True)
         assert corrupt_split
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith("internal invariant violated: ")
-        assert captured.err.count("\n") == 1
 
 
 X9_SCRIPT = Path(__file__).resolve().parent / "golden" / "x9.script"
@@ -1010,33 +993,23 @@ class TestCorruptedGlue:
 
     @pytest.mark.parametrize("corrupt_glued", ["drop-cover"], indirect=True)
     def test_replay_exits_1(self, capsys, corrupt_glued):
-        code = main(["replay", str(X9_SCRIPT)])
-        captured = capsys.readouterr()
+        message = "verification failed: final poset differs from the recorded one\n"
+        check_contract(main(["replay", str(X9_SCRIPT)]), *capsys.readouterr(), 1, message)
         assert corrupt_glued[1]
-        assert code == 1
-        assert captured.out == ""
-        assert captured.err == "verification failed: final poset differs from the recorded one\n"
 
     @pytest.mark.parametrize("corrupt_glued", ["add-to-up-set"], indirect=True)
     def test_up_set_fault_replays_with_exit_0(self, capsys, corrupt_glued):
         code = main(["replay", str(X9_SCRIPT)])
-        captured = capsys.readouterr()
+        out, err = capsys.readouterr()
+        check_contract(code, out, err, 0)
+        assert out.endswith("saturated embedding of the source verified\n")
         assert corrupt_glued[1]
-        assert code == 0
-        assert captured.err == ""
-        assert captured.out.endswith("saturated embedding of the source verified\n")
 
     @pytest.mark.parametrize("corrupt_glued", ["implied-cover"], indirect=True)
     def test_implied_cover_exits_3(self, capsys, corrupt_glued):
-        code = main(["replay", str(X9_SCRIPT)])
-        captured = capsys.readouterr()
+        message = "internal invariant violated: step 7: r is not a gluing along "
+        check_contract(main(["replay", str(X9_SCRIPT)]), *capsys.readouterr(), 3, message, bug=True)
         assert corrupt_glued[1]
-        assert code == 3
-        assert captured.out == ""
-        assert captured.err.startswith(
-            "internal invariant violated: step 7: r is not a gluing along "
-        )
-        assert captured.err.count("\n") == 1
 
 
 class TestReplay:
@@ -1344,11 +1317,8 @@ class TestInputChecks:
     def test_decompose_of_the_empty_poset_exits_2_on_one_line(self, capsys, tmp_path):
         path = tmp_path / "empty.poset"
         path.write_text('{"version": 1, "nodes": [], "covers": []}')
-        code = main(["decompose", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == "input error: cannot decompose the empty poset\n"
+        message = "input error: cannot decompose the empty poset\n"
+        check_contract(main(["decompose", str(path)]), *capsys.readouterr(), 2, message)
 
     def test_a_taken_fresh_id_is_extended(self):
         # "q.0" is taken, so the first fresh id grows an "x"; "q.1" is free
