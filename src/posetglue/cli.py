@@ -162,26 +162,32 @@ def _elevation_obj(witness, result_key: str) -> str:
 
 
 def _wrap_count(token: str) -> int:
-    try:
-        value = int(token.split("=", 1)[1])
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise InputError(f"wrap option {token!r} needs a non-negative integer")
-    return value
+    digits = token.split("=", 1)[1]
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(digits)
+        except ValueError:  # past int's digit limit
+            pass
+    raise InputError(f"wrap option {token!r} needs a non-negative integer")
 
 
 def _parse_wrap(text: str) -> WrapOptions:
     """Wrap options from the --wrap list; `single-max` is accepted and
-    changes nothing, since the fresh top is always added."""
+    changes nothing, since the fresh top is always added. A count is ASCII
+    digits, and an option given twice is refused."""
     single_min = False
     min_height = 0
     min_dim = 0
+    seen = set()
     if text:
         for token in text.split(","):
             token = token.strip()
             if not token:
                 continue
+            option = token.split("=", 1)[0]
+            if option in seen:
+                raise InputError(f"wrap option {option!r} is given twice")
+            seen.add(option)
             if token == "single-max":
                 continue
             if token == "single-min":

@@ -13,7 +13,12 @@ per cover, every other node renamed). ``_glued`` takes its covers from
 members of any kind, when it needs the covers and not the poset. None of
 them re-closes the order: the values are immutable and safe to share, so
 the first two reuse their input's up-set objects, and ``_split`` renames
-them. Every operation here is a pure function of its inputs.
+them. Derived tables (heights, the upward table, minima, maxima) are
+computed on first use and cached; the three local constructors also derive
+their result's minima from their input's cached ones, and ``_glued`` and
+``_split`` its upward table, by local rules, so a run of constructors
+builds the table once. Every operation here is a pure function of its
+inputs.
 All iteration is over sorted ids so results are reproducible byte-for-byte.
 """
 
@@ -39,7 +44,9 @@ class Poset:
     the only stored form of the order, and internal callers read it directly
     once their ids are known to be valid. Up-set values may be shared between posets. Heights,
     the upward table (dimension, depths and longest-chain counts), minima
-    and maxima are computed on first use and cached.
+    and maxima are computed on first use and cached. ``_elevated``,
+    ``_glued`` and ``_split`` may instead hand their result its minima, and
+    the last two its upward table, derived from their input's cached ones.
     """
 
     __slots__ = ("nodes", "covers", "_up", "_heights", "_upward", "_min", "_max")
@@ -47,13 +54,13 @@ class Poset:
     nodes: tuple[NodeId, ...]
     covers: frozenset[tuple[NodeId, NodeId]]
 
-    def __init__(self, nodes, covers, up):
+    def __init__(self, nodes, covers, up, upward=None, mins=None):
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_heights", None)
-        object.__setattr__(self, "_upward", None)
-        object.__setattr__(self, "_min", None)
+        object.__setattr__(self, "_upward", upward)
+        object.__setattr__(self, "_min", mins)
         object.__setattr__(self, "_max", None)
 
     def __setattr__(self, name, value):
@@ -328,16 +335,14 @@ def _elevated(X: Poset, p: NodeId, fresh_ids: Sequence[NodeId]) -> Poset:
     The caller has checked that p is a minimal node of X and that the fresh
     ids are distinct and new. Nothing of X lies below a fresh id, so every
     up-set of X is reused as it is, and a fresh q gets ``{q} | up(p)``.
+    When X's minima are cached, the fresh ids take p's place among them.
     """
     up = dict(X._up)
     up_p = X._up[p]
     for q in fresh_ids:
         up[q] = up_p | {q}
-    return Poset(
-        tuple(sorted(up)),
-        X.covers | {(q, p) for q in fresh_ids},
-        up,
-    )
+    mins = None if X._min is None else X._min.difference((p,)).union(fresh_ids)
+    return Poset(tuple(sorted(up)), X.covers | {(q, p) for q in fresh_ids}, up, mins=mins)
 
 
 def _glued_covers(
@@ -384,6 +389,12 @@ def _glued(X: Poset, members: Sequence[frozenset[NodeId]]) -> Poset:
     node outside them has a member in its up-set, so its up-set object
     carries over unchanged. The covers are ``_glued_covers``'s, and the
     class c of a member gets ``{c} | up(b)`` over its upper covers b.
+
+    X's cached upward table and minima carry over by the same rule: outside
+    the members depths and ways are unchanged, and a class c, whose upper
+    covers are its least exits, gets depth 1 + the deepest of them and ways
+    summed over the exits at that depth. Nothing lies below a class, so the
+    classes replace the members among the minima.
     """
     covers, classes = _glued_covers(X, members)
     up = dict(X._up)
@@ -392,7 +403,19 @@ def _glued(X: Poset, members: Sequence[frozenset[NodeId]]) -> Poset:
             del up[x]
     for c, least in classes:
         up[c] = frozenset({c}).union(*(X._up[b] for b in least))
-    return Poset(tuple(sorted(up)), frozenset(covers), up)
+    upward = mins = None
+    if X._upward is not None:
+        _, depths, ways = X._upward
+        depths = {x: d for x, d in depths.items() if x in up}
+        ways = {x: w for x, w in ways.items() if x in up}
+        for c, least in classes:
+            d = max((depths[b] for b in least), default=-1)
+            depths[c] = d + 1
+            ways[c] = sum(ways[b] for b in least if depths[b] == d) if least else 1
+        upward = max(depths.values()), depths, ways
+    if X._min is not None:
+        mins = frozenset(m for m in X._min if m in up).union(c for c, _ in classes)
+    return Poset(tuple(sorted(up)), frozenset(covers), up, upward, mins)
 
 
 def _split(
@@ -406,6 +429,9 @@ def _split(
     u1 is minimal and that the new ids are distinct. No up-set but u1's holds
     u1, so every other node's up-set and covers are X's renamed, and the
     copy v under c gets ``{v} | up(name[c])`` with c as its only cover.
+    X's cached upward table and minima are renamed the same way: v gets
+    depth(c) + 1 and ways(c), the deepest copy keeps u1's depth, so dim is
+    unchanged, and the copies replace u1 among the minima.
     """
     rename = name.__getitem__
     up = {name[x]: frozenset(map(rename, u)) for x, u in X._up.items() if x != u1}
@@ -413,7 +439,17 @@ def _split(
     for c, v in copy.items():
         up[v] = up[name[c]] | {v}
         covers.add((v, name[c]))
-    return Poset(tuple(sorted(up)), frozenset(covers), up)
+    upward = mins = None
+    if X._upward is not None:
+        dim, depths, ways = X._upward
+        depths2 = {name[x]: d for x, d in depths.items() if x != u1}
+        ways2 = {name[x]: w for x, w in ways.items() if x != u1}
+        for c, v in copy.items():
+            depths2[v], ways2[v] = depths[c] + 1, ways[c]
+        upward = dim, depths2, ways2
+    if X._min is not None:
+        mins = frozenset(name[m] for m in X._min if m != u1).union(copy.values())
+    return Poset(tuple(sorted(up)), frozenset(covers), up, upward, mins)
 
 
 def is_chain_in(P: Poset, seq: Chain) -> bool:

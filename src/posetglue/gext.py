@@ -5,10 +5,12 @@ lower neighbors have z as their only cover) to a point; an elevation is the
 inverse move, growing fresh minima under a minimal node. One G-extension
 step = split shared minima under a pivot until each copy has a unique cover,
 retract the pivot's down-set, and remember the height-zero gluing that undoes
-the splits. ``_descend`` runs steps to dimension zero. Each poset it visits
-builds one upward table, the depths and the counts ``ways`` of longest
-chains going up from each node, and ``dim``, ``eta`` and the pivot are read
-off it; no height table is built. A step that splits nothing builds no map:
+the splits. ``_descend`` runs steps to dimension zero. It builds one upward
+table, the depths and the counts ``ways`` of longest chains going up from
+each node, on the poset it starts from; every later poset gets its table,
+and its minima, from the one before, since ``core._split`` and
+``core._glued`` derive both by local rules. ``dim``, ``eta`` and the pivot
+are read off the table; no height table is built. A step that splits nothing builds no map:
 its ``GExtension`` stores no h and derives the identity on first use, and
 the pivot's down-set is computed once, for the collapse and the record.
 ``decompose_to_point`` keeps a small record per step, never its posets, and
@@ -314,9 +316,10 @@ def _eta(F: Poset) -> int:
 
 def _descend(F: Poset) -> Iterator[GExtension]:
     """G-extension steps from F to dimension zero, each lowering (dim, eta).
-    Every poset it visits builds its upward table once, from which dim, eta
-    and the step's pivot are read; no state passes from one step to the
-    next but the poset itself."""
+    It builds its upward table once, on F: each later poset carries the
+    table over from the one before (``core._split`` and ``core._glued``),
+    and dim, eta and the step's pivot are read off it. No state passes from
+    one step to the next but the poset itself and its cached tables."""
     key = F.dim(), _eta(F)
     while key[0] > 0:
         step = gextension_step(F)

@@ -352,14 +352,6 @@ class TestRenderRandom:
 
 
 class TestInputErrors:
-    @pytest.mark.parametrize(
-        "wrap",
-        ["min-height=abc", "min-dim=", "min-height=-1", "single-max,min-dim=-2"],
-    )
-    def test_bad_wrap_value_is_input_error(self, capsys, wrap):
-        message = f"input error: wrap option {wrap.split(',')[-1]!r} needs a non-negative integer\n"
-        run(capsys, "decompose", fx("x9.poset"), "--wrap", wrap, expect=2, line=message)
-
     def test_info_on_a_long_chain(self, capsys, tmp_path):
         from posetglue import build
         from posetglue.documents import emit_poset

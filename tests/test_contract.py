@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,8 @@ STRAY_EMBEDDING = json.dumps(STRAY_EMBEDDING)
 
 # name: (command line, stdin, fault, exit code, stderr line or its prefix).
 # A command line may be a pipeline, each command reading the last one's
-# stdout; an argument ending in `.poset` or `.script` names a fixture. The
+# stdout; it is split as a shell splits it, and an argument ending in
+# `.poset` or `.script` names a fixture. The
 # fault is None; "seeds", under which the row runs with both hash seeds and
 # must print the same bytes; an exception, an injected bug that
 # `decompose_to_point` raises; or a stream fault, where a broken pipe is a
@@ -77,6 +79,38 @@ ROWS = {
         "replay -", STRAY_EMBEDDING, "seeds", 1,
         "verification failed: embedding lands outside the final poset: ['zz0', 'zz1', 'zz2']\n",
     ),
+    "wrap-count-letters": (
+        "decompose x9.poset --wrap min-height=abc", "", None, 2,
+        "input error: wrap option 'min-height=abc' needs a non-negative integer\n",
+    ),
+    "wrap-count-empty": (
+        "decompose x9.poset --wrap min-dim=", "", None, 2,
+        "input error: wrap option 'min-dim=' needs a non-negative integer\n",
+    ),
+    "wrap-count-negative": (
+        "decompose x9.poset --wrap min-height=-1", "", None, 2,
+        "input error: wrap option 'min-height=-1' needs a non-negative integer\n",
+    ),
+    "wrap-count-negative-after-single-max": (
+        "decompose x9.poset --wrap single-max,min-dim=-2", "", None, 2,
+        "input error: wrap option 'min-dim=-2' needs a non-negative integer\n",
+    ),
+    "wrap-count-arabic-indic-digit": (
+        "decompose x9.poset --wrap min-dim=\u0663", "", None, 2,
+        "input error: wrap option 'min-dim=\u0663' needs a non-negative integer\n",
+    ),
+    "wrap-count-plus-sign": (
+        "decompose x9.poset --wrap min-height=+3", "", None, 2,
+        "input error: wrap option 'min-height=+3' needs a non-negative integer\n",
+    ),
+    "wrap-count-inner-space": (
+        "decompose x9.poset --wrap 'min-height= 3'", "", None, 2,
+        "input error: wrap option 'min-height= 3' needs a non-negative integer\n",
+    ),
+    "wrap-option-repeated": (
+        "decompose x9.poset --wrap min-height=3,min-height=4", "", None, 2,
+        "input error: wrap option 'min-height' is given twice\n",
+    ),
     "closed-stdin": ("info -", "", "closed stdin", 2, "input error: stdin is closed\n"),
     "closed-stdout": ("info x9.poset", "", "closed stdout", 2, "input error: stdout is closed\n"),
     "closed-stderr": ("info no-such-file.poset", "", "closed stderr", 2, None),
@@ -95,7 +129,10 @@ ROWS = {
 
 def commands(line):
     return [
-        [str(FIXTURES / a) if a.endswith((".poset", ".script")) else a for a in command.split()]
+        [
+            str(FIXTURES / a) if a.endswith((".poset", ".script")) else a
+            for a in shlex.split(command)
+        ]
         for command in line.split(" | ")
     ]
 

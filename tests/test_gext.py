@@ -779,29 +779,39 @@ class TestDescentInvariant:
 
 
 class TestDescentWork:
-    """Every poset the descent visits builds its upward table once, and dim,
-    eta and the pivot are read off it. A step that splits nothing builds no
+    """One upward table per ``decompose_to_point``, the padded poset's: each
+    later poset of the descent carries it over from the one before
+    (``core._split`` and ``core._glued``), and dim, eta and the pivot are
+    read off it. The minima are carried the same way, also through the step
+    loop's elevations and glue steps. A step that splits nothing builds no
     map: h is derived only when asked for."""
 
     @pytest.fixture
     def work(self, monkeypatch):
         """The posets whose upward table was built, in order, the steps of
-        the descent, and the calls of the three map builders through gext's
-        own bindings: the step loop's elevations read fibers too, inside
-        ``verify_gluing``, but that is the forward path, not the descent."""
-        built, steps = [], []
-        real_table, real_step = Poset._upward_table, gext.gextension_step
+        the descent, the calls of the three map builders through gext's own
+        bindings (the step loop's elevations read fibers too, inside
+        ``verify_gluing``, but that is the forward path, not the descent),
+        and the posets whose minima were scanned, in order."""
+        built, steps, scanned = [], [], []
+        real_table, real_min, real_step = Poset._upward_table, Poset.min_nodes, gext.gextension_step
 
         def recording_table(P):
             if P._upward is None:
                 built.append(P)
             return real_table(P)
 
+        def recording_min(P):
+            if P._min is None:
+                scanned.append(P)
+            return real_min(P)
+
         def recording_step(F):
             steps.append(real_step(F))
             return steps[-1]
 
         monkeypatch.setattr(Poset, "_upward_table", recording_table)
+        monkeypatch.setattr(Poset, "min_nodes", recording_min)
         monkeypatch.setattr(gext, "gextension_step", recording_step)
         maps = {}
         for name in ("identity_map", "compose", "fiber_collection"):
@@ -812,21 +822,29 @@ class TestDescentWork:
                 return _real(*args)
 
             monkeypatch.setattr(gext, name, counted)
-        return built, steps, maps
+        return built, steps, maps, scanned
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: random_poset(1, 60, 1.0), lambda: load_fixture("x9.poset"), lambda: diamond_ladder(3)],
-        ids=["chain-60", "x9", "ladder-3"],
+        [
+            lambda: random_poset(1, 60, 1.0),
+            lambda: random_poset(1, 400, 1.0),
+            lambda: load_fixture("x9.poset"),
+            lambda: diamond_ladder(3),
+        ],
+        ids=["chain-60", "chain-400", "x9", "ladder-3"],
     )
-    def test_one_upward_table_per_visited_poset(self, work, make):
-        built, steps, _ = work
-        decompose_to_point(make())
-        visited = [steps[0].f1, *(gx.f2 for gx in steps)]
-        assert [id(P) for P in built] == [id(P) for P in visited]
+    def test_one_upward_table_per_decompose(self, work, make):
+        built, steps, _, scanned = work
+        script = decompose_to_point(make())
+        padded = steps[0].f1
+        assert [id(P) for P in built] == [id(padded)]
+        # the descent scans the padded poset's minima, and the step loop
+        # only its one-point start's
+        assert [id(P) for P in scanned] == [id(padded), id(script.start)]
 
     def test_chain_builds_no_maps(self, work):
-        _, steps, maps = work
+        _, steps, maps, _ = work
         decompose_to_point(random_poset(1, 60, 1.0))
         assert len(steps) == 60
         assert all(gx.split_gluing is None for gx in steps)
@@ -837,7 +855,7 @@ class TestDescentWork:
         }
 
     def test_maps_only_on_steps_that_split(self, work):
-        _, steps, maps = work
+        _, steps, maps, _ = work
         decompose_to_point(load_fixture("x9.poset"))
         splitting = [gx for gx in steps if gx.split_gluing is not None]
         assert 0 < len(splitting) < len(steps)

@@ -68,7 +68,13 @@ node's down-set validates.
 ``_pivot`` and ``_eta`` read the upward table (depths and longest-chain
 counts) and are checked against the per-node scan and against the
 height-table versions they replaced, kept here as oracles, on every poset
-the descent visits from the inputs of the glue-step check;
+the descent visits from the inputs of the glue-step check. The descent
+builds that table once per run: ``core._split`` and ``core._glued`` derive
+their result's table from their input's, and the three local constructors
+their result's minima. Every poset they make while those inputs are
+decomposed and replayed is checked against a recomputation on an uncached
+copy, and a mutant collapse whose classes keep their least member's depth
+is caught on every step whose least member is not the pivot;
 ``verify_gluing`` reads its comparison map off two assignments and is
 checked against the stagewise oracle also on targets with fresh ids.
 ``verify_gluing`` counts classes instead of reading g's fibers, and
@@ -1470,6 +1476,58 @@ def test_descent_reads_dim_eta_and_pivot_off_the_upward_table(small_posets, monk
         seen += len(visited)
         visited.clear()
     assert (seen, checked) == (3158, 2739)
+
+
+def fresh_caches(P):
+    """P's upward table and minima, recomputed on a copy that caches nothing."""
+    Q = Poset(P.nodes, P.covers, P._up)
+    return Q._upward_table(), Q.min_nodes()
+
+
+def kept_depth_glued(X, members):
+    """A mutant ``_glued`` whose classes keep the depth that their least
+    member had in X."""
+    Y = _glued(X, members)
+    dim, depths, ways = Y._upward
+    depths = {**depths, **{min(C): X._upward[1][min(C)] for C in members}}
+    return Poset(Y.nodes, Y.covers, Y._up, (dim, depths, ways), Y._min)
+
+
+def test_carried_tables_and_minima_equal_a_fresh_recomputation(small_posets, monkeypatch):
+    # every poset the three local constructors make while the inputs are
+    # decomposed and replayed carries its minima, and the descent's carry
+    # their upward table too; each must equal a recomputation. A class that
+    # kept its least member's depth must not, unless that member is the
+    # pivot, whose depth the class takes
+    tally = Counter()
+
+    def checked(name, real):
+        def make(X, *args):
+            Y = real(X, *args)
+            upward, mins = fresh_caches(Y)
+            assert Y._min == mins
+            carried = Y._upward is not None
+            if carried:
+                assert Y._upward == upward
+                if name == "_glued":
+                    tally["kept depth caught"] += kept_depth_glued(X, *args)._upward != upward
+            tally[name, carried] += 1
+            return Y
+
+        return make
+
+    monkeypatch.setattr(gext, "_glued", checked("_glued", gext._glued))
+    monkeypatch.setattr(gext, "_elevated", checked("_elevated", gext._elevated))
+    monkeypatch.setattr(chains, "_split", checked("_split", chains._split))
+    for P, options in descent_inputs(small_posets):
+        replay(decompose_to_point(P, options))
+    assert tally == {
+        ("_split", True): 856,
+        ("_glued", True): 2739,
+        ("_glued", False): 1236,
+        ("_elevated", False): 5478,
+        "kept depth caught": 2669,
+    }
 
 
 def built_quotient(X, collection):
